@@ -26,11 +26,12 @@
 #   scripts/run_sanitizers.sh serve        # the serve label (inference
 #                                          # daemon loopback: micro-batching,
 #                                          # priority queue, graceful reload,
-#                                          # live telemetry/SLO surfaces)
-#                                          # under all three sanitizers — the
-#                                          # TSan flavour is the one that
-#                                          # matters most here, the daemon is
-#                                          # the most thread-heavy subsystem
+#                                          # live telemetry/SLO surfaces, and
+#                                          # the 5s chaos soak) under all
+#                                          # three sanitizers — the TSan
+#                                          # flavour matters most here: the
+#                                          # I/O loop, worker and reloads
+#                                          # share state across threads
 #   scripts/run_sanitizers.sh obs          # the obs label (metrics registry
 #                                          # snapshot vs concurrent writers,
 #                                          # histogram quantile edges, trace/

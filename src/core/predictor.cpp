@@ -193,15 +193,6 @@ std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
   return any ? p : nullptr;
 }
 
-Tensor GnnPredictor::forward_predictions(const GraphBatch& batch, std::size_t type_slot) const {
-  const auto& types = dataset::target_node_types(config_.target);
-  const NodeType nt = types.at(type_slot);
-  gnn::TypeTensors emb = embedding_->embed(batch);
-  const Tensor& z = emb[static_cast<std::size_t>(nt)];
-  if (!z.defined()) return Tensor();
-  return head_->forward(z);
-}
-
 namespace {
 
 double global_grad_norm(const std::vector<Tensor>& params) {

@@ -265,7 +265,6 @@ class GnnPredictor {
                              const dataset::Sample& sample, const gnn::GraphPlan* plan) const;
   CircuitPrediction evaluate_circuit(const dataset::FeatureNormalizer& norm,
                                      const dataset::Sample& s) const;
-  nn::Tensor forward_predictions(const gnn::GraphBatch& batch, std::size_t type_slot) const;
 
   PredictorConfig config_;
   std::uint64_t model_key_ = 0;

@@ -79,7 +79,7 @@ class Histogram {
 // One point-in-time view of every registered instrument, captured in a
 // single hold of the registry lock so a reader racing concurrent writers
 // can never observe a torn or half-registered set (the serve daemon's
-// `stats` admin verb reads this while the worker and reader threads keep
+// `stats` admin verb reads this on its I/O loop while the worker keeps
 // writing). Instrument values themselves are relaxed atomics, so a
 // snapshot is consistent at instrument granularity: every entry reflects
 // some value that instrument actually held at snapshot time.

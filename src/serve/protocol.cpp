@@ -110,6 +110,26 @@ void write_all(int fd, const void* buf, std::size_t n, const Deadline& dl) {
 
 }  // namespace
 
+std::string encode_frame(std::string_view payload, std::size_t max_bytes) {
+  if (payload.size() > max_bytes)
+    throw util::IoError("serve: refusing to send frame of " + std::to_string(payload.size()) +
+                        " bytes (limit " + std::to_string(max_bytes) + ")");
+  std::string frame(kFrameHeaderBytes, '\0');
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i)
+    frame[i] = static_cast<char>((payload.size() >> (8 * i)) & 0xff);
+  return frame.append(payload);
+}
+
+std::size_t decode_frame_header(const char* hdr, std::size_t max_bytes) {
+  std::size_t len = 0;
+  for (std::size_t i = kFrameHeaderBytes; i-- > 0;)
+    len = len << 8 | static_cast<unsigned char>(hdr[i]);
+  if (len > max_bytes)
+    throw FrameError("serve: frame length " + std::to_string(len) + " exceeds limit " +
+                     std::to_string(max_bytes));
+  return len;
+}
+
 const char* error_code_name(ErrorCode c) {
   switch (c) {
     case ErrorCode::kBadRequest: return "bad_request";
@@ -142,24 +162,17 @@ bool parse_priority(const std::string& name, Priority* out) {
 }
 
 bool read_frame(int fd, std::string* payload, std::size_t max_bytes, int timeout_ms) {
-  unsigned char hdr[4];
+  char hdr[kFrameHeaderBytes];
   // The first header byte waits with no deadline: a persistent connection
   // idling between frames is healthy. Once a frame has *started*, the
   // rest of it must arrive within timeout_ms — that is the slowloris
-  // defense (a client sending 3 bytes of length prefix and stalling used
-  // to pin a reader forever).
+  // defense.
   const std::size_t first = read_all(fd, hdr, 1, Deadline{0});
   if (first == 0) return false;  // clean EOF between frames
   const Deadline dl{timeout_ms};
   if (read_all(fd, hdr + 1, sizeof hdr - 1, dl) < sizeof hdr - 1)
     throw FrameError("serve: connection closed mid-frame header");
-  const std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
-                            static_cast<std::uint32_t>(hdr[1]) << 8 |
-                            static_cast<std::uint32_t>(hdr[2]) << 16 |
-                            static_cast<std::uint32_t>(hdr[3]) << 24;
-  if (len > max_bytes)
-    throw FrameError("serve: frame length " + std::to_string(len) + " exceeds limit " +
-                     std::to_string(max_bytes));
+  const std::size_t len = decode_frame_header(hdr, max_bytes);
   payload->resize(len);
   if (len != 0 && read_all(fd, payload->data(), len, dl) < len)
     throw FrameError("serve: connection closed mid-frame payload");
@@ -167,19 +180,10 @@ bool read_frame(int fd, std::string* payload, std::size_t max_bytes, int timeout
 }
 
 void write_frame(int fd, const std::string& payload, std::size_t max_bytes, int timeout_ms) {
-  if (payload.size() > max_bytes)
-    throw util::IoError("serve: refusing to send frame of " + std::to_string(payload.size()) +
-                        " bytes (limit " + std::to_string(max_bytes) + ")");
+  const std::string frame = encode_frame(payload, max_bytes);
   if (util::fault::should_fail("sock.reset"))
     throw util::IoError("serve: socket write failed: injected connection reset");
-  const Deadline dl{timeout_ms};
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const unsigned char hdr[4] = {
-      static_cast<unsigned char>(len & 0xff), static_cast<unsigned char>((len >> 8) & 0xff),
-      static_cast<unsigned char>((len >> 16) & 0xff),
-      static_cast<unsigned char>((len >> 24) & 0xff)};
-  write_all(fd, hdr, sizeof hdr, dl);
-  write_all(fd, payload.data(), payload.size(), dl);
+  write_all(fd, frame.data(), frame.size(), Deadline{timeout_ms});
 }
 
 bool token_equal_consttime(const std::string& a, const std::string& b) {

@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "obs/json.h"
 #include "util/errors.h"
@@ -84,7 +85,15 @@ class FrameError : public util::IoError {
   using util::IoError::IoError;
 };
 
-// Frame I/O on a connected socket. Both handle partial reads/writes and
+// The framing, shared by the daemon's nonblocking loop and the calls
+// below: encode_frame prefixes `payload` with its 4-byte little-endian
+// length (util::IoError when over max_bytes); decode_frame_header reads
+// that length back (FrameError when over max_bytes).
+constexpr std::size_t kFrameHeaderBytes = 4;
+std::string encode_frame(std::string_view payload, std::size_t max_bytes = kMaxFrameBytes);
+std::size_t decode_frame_header(const char* hdr, std::size_t max_bytes = kMaxFrameBytes);
+
+// Blocking frame I/O for clients and tools. Both handle partial reads/writes and
 // EINTR, and work on blocking or O_NONBLOCK fds. read_frame returns false
 // on clean EOF before any byte of a frame; a mid-frame EOF or an
 // oversized length prefix throws FrameError, other socket errors throw

@@ -1,11 +1,11 @@
 // Bounded, priority-ordered request queue with admission control and
 // per-client fairness.
 //
-// Producers (connection threads) push; the single worker loop pops
+// The daemon's I/O loop pushes; the single worker loop pops
 // micro-batches. Capacity is a hard bound enforced at push time: a full
 // queue rejects immediately (the caller answers the client with a typed
-// `queue_full` error) instead of blocking the connection thread — under
-// overload the server sheds load, it never stalls readers. A per-client
+// `queue_full` error) instead of blocking the I/O loop — under overload
+// the server sheds load, it never stalls connections. A per-client
 // cap (a slice of the total capacity) bounds how much of the queue one
 // client key can own, so a flooder hits kClientFull while the queue still
 // has room for everyone else.
@@ -25,7 +25,7 @@
 // during the previous batch.
 //
 // Deadlines: a job may carry an absolute shed deadline. take_expired()
-// removes and returns every job whose deadline has passed (the acceptor
+// removes and returns every job whose deadline has passed (the I/O loop
 // tick answers them `deadline_exceeded`); the worker also sheds expired
 // jobs it finds at the front of a batch before doing any work for them.
 //
@@ -39,7 +39,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -48,8 +47,6 @@
 #include "serve/protocol.h"
 
 namespace paragraph::serve {
-
-class Connection;  // serve/server.h
 
 // Sentinel for "no deadline".
 constexpr std::chrono::steady_clock::time_point kNoDeadline =
@@ -71,7 +68,7 @@ struct Job {
   Priority priority = Priority::kNormal;
   std::string netlist_text;
   std::uint64_t netlist_hash = 0;
-  std::shared_ptr<Connection> conn;
+  std::uint64_t conn = 0;  // sender's connection id; gone by then: answer dropped
   std::chrono::steady_clock::time_point enqueued_at{};
   // Absolute shed deadline derived from the request's deadline_ms;
   // kNoDeadline when the request did not set one.

@@ -77,9 +77,9 @@ class ModelRegistry {
 
   const RegistryConfig config_;
   mutable std::mutex mu_;  // guards current_ swap/read
-  // Serialises whole reloads: SIGHUP (acceptor thread) and the "reload"
-  // admin command (any reader thread) may race, and build_bundle touches
-  // next_generation_ and the normaliser cache. Never held with mu_.
+  // Serialises whole reloads, which may come from any thread (the daemon's
+  // I/O loop or a caller of the public Server::registry()): build_bundle
+  // touches next_generation_ and the normaliser cache. Never held with mu_.
   std::mutex reload_mu_;
   std::shared_ptr<const ModelBundle> current_;
   std::uint64_t next_generation_ = 1;  // guarded by reload_mu_

@@ -1,11 +1,11 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <unordered_map>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -24,6 +24,7 @@
 #include "util/bytes.h"
 #include "util/errors.h"
 #include "util/faultinject.h"
+#include "util/strings.h"
 
 namespace paragraph::serve {
 
@@ -34,6 +35,10 @@ void close_fd(int& fd) {
     ::close(fd);
     fd = -1;
   }
+}
+
+void write_byte(int fd, char c) {
+  if (fd >= 0) (void)!::write(fd, &c, 1);
 }
 
 std::int64_t request_id(const obs::JsonValue& req) {
@@ -50,17 +55,21 @@ std::size_t effective_client_cap(const ServeConfig& c) {
   return cap / 2 != 0 ? cap / 2 : 1;
 }
 
-// Shed answers go to peers that may be hostile or stalled: cap the write
-// deadline low so one of them cannot slow the acceptor tick or worker.
-constexpr int kShedSendTimeoutMs = 250;
+// Write cap for a hang-up frame (`overloaded`, framing errors): the peer
+// may be part of the problem.
+constexpr std::chrono::milliseconds kHangUpWriteCap{250};
 
-// Acceptor poll tick: bounds how stale a deadline sweep or stop check can
-// get when the listeners are quiet.
-constexpr int kAcceptTickMs = 250;
+// Longest client-chosen key ("client", "request_id"): both are retained.
+constexpr std::size_t kMaxKeyBytes = 128;
 
 // Largest accepted deadline_ms (one hour). Keeps the double->int64 cast
 // and the steady_clock addition far from overflow territory.
 constexpr double kMaxDeadlineMs = 3.6e6;
+
+std::chrono::steady_clock::time_point deadline_after(std::chrono::steady_clock::time_point now,
+                                                     int timeout_ms) {
+  return timeout_ms > 0 ? now + std::chrono::milliseconds(timeout_ms) : kNoDeadline;
+}
 
 // The request's trace id: client-propagated "request_id" when present,
 // server-assigned "r<N>" otherwise.
@@ -68,6 +77,14 @@ std::string resolve_request_id(const obs::JsonValue& req) {
   const obs::JsonValue* rid = req.find("request_id");
   if (rid != nullptr && rid->is_string() && !rid->as_string().empty()) return rid->as_string();
   return next_request_id();
+}
+
+// Hierarchical decks take the PlanCache path; SPICE cards are case-insensitive.
+bool has_subckt_card(std::string_view deck) {
+  constexpr std::string_view kCard = ".subckt";
+  for (std::size_t p = deck.find('.'); p != std::string_view::npos; p = deck.find('.', p + 1))
+    if (util::iequals(deck.substr(p, kCard.size()), kCard)) return true;
+  return false;
 }
 
 double us_between(std::chrono::steady_clock::time_point from,
@@ -125,36 +142,26 @@ obs::JsonValue named_predictions(const dataset::Sample& sample, dataset::TargetK
 
 }  // namespace
 
-// ---------------------------------------------------------------- Connection
+// One client connection: plain state that only the loop thread touches.
+struct Server::Conn {
+  std::uint64_t id = 0;
+  int fd = -1;       // -1 once closed; erased at the end of the pass
+  std::string name;  // "conn<id>": log name and default fairness key
+  bool tcp = false;
+  std::string in = {};  // received bytes not yet decoded into frames
+  Clock::time_point read_by = kNoDeadline;  // armed by a frame's first byte
+  std::string out = {};  // encoded frames; out[0, sent) is on the wire
+  std::size_t sent = 0;
+  Clock::time_point write_by = kNoDeadline;  // armed while `out` is non-empty
+  bool hang_up = false;  // read no more; close once `out` is written
+};
 
-Connection::~Connection() { close_fd(fd_); }
-
-bool Connection::send(const obs::JsonValue& resp, int timeout_ms_override) {
-  const int timeout = timeout_ms_override >= 0 ? timeout_ms_override : io_timeout_ms_;
-  std::lock_guard<std::mutex> lock(write_mu_);
-  try {
-    write_frame(fd_, resp.dump(), kMaxFrameBytes, timeout);
-    return true;
-  } catch (const util::TimeoutError& e) {
-    // A peer that stopped reading cannot be allowed to pin the worker (it
-    // holds write_mu_, and a stalled blocking send would hold it forever);
-    // the response is dropped and the stall is accounted.
-    if (stats_ != nullptr) stats_->io_timeouts.fetch_add(1, std::memory_order_relaxed);
-    obs::log_debug("serve", "response dropped, peer stalled", {{"error", e.what()}});
-  } catch (const util::IoError& e) {
-    // The peer hung up before its answer arrived; the server's job is to
-    // survive that, not to propagate it.
-    obs::log_debug("serve", "response dropped, peer gone", {{"error", e.what()}});
-  }
-  // Either way a response frame died mid-write: the stream has no frame
-  // boundary to resync on, so the connection is unusable. Shut it down
-  // fully — the reader wakes with EOF and the peer sees the close instead
-  // of waiting forever for a frame that will never finish.
-  ::shutdown(fd_, SHUT_RDWR);
-  return false;
-}
-
-void Connection::shutdown_read() { ::shutdown(fd_, SHUT_RD); }
+struct Server::Reply {
+  std::uint64_t conn = 0;
+  std::string frame;  // empty when there is nothing to write
+  bool ok = false;
+  bool hang_up = false;
+};
 
 // -------------------------------------------------------------------- Server
 
@@ -181,7 +188,7 @@ void Server::bind_unix() {
     throw std::invalid_argument("serve: socket path too long: " + config_.socket_path);
   std::strncpy(addr.sun_path, config_.socket_path.c_str(), sizeof addr.sun_path - 1);
 
-  unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (unix_fd_ < 0)
     throw util::IoError(std::string("serve: cannot create unix socket: ") + std::strerror(errno));
   if (::bind(unix_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
@@ -217,7 +224,7 @@ void Server::bind_unix() {
 
 void Server::bind_tcp() {
   if (config_.tcp_port < 0) return;
-  tcp_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  tcp_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (tcp_fd_ < 0)
     throw util::IoError(std::string("serve: cannot create TCP socket: ") + std::strerror(errno));
   const int one = 1;
@@ -267,8 +274,7 @@ void Server::start() {
     reg.gauge("ensemble.degraded").set(registry_.current()->degraded ? 1.0 : 0.0);
   }
   worker_ = std::thread([this] { worker_loop(); });
-  shedder_ = std::thread([this] { shedder_loop(); });
-  acceptor_ = std::thread([this] { acceptor_loop(); });
+  loop_ = std::thread([this] { io_loop(); });
   started_.store(true, std::memory_order_release);
   obs::log_info("serve", "listening",
                 {{"socket", config_.socket_path},
@@ -280,20 +286,11 @@ void Server::start() {
                  {"degraded", registry_.current()->degraded}});
 }
 
-void Server::wait() {
-  std::unique_lock<std::mutex> lock(state_mu_);
-  state_cv_.wait(lock, [&] { return stop_requested_; });
-}
+void Server::wait() { stop_requested_.wait(false); }
 
-void Server::request_stop() {
-  const char c = 'T';
-  if (notify_write_fd_ >= 0) (void)!::write(notify_write_fd_, &c, 1);
-}
+void Server::request_stop() { write_byte(notify_write_fd_, 'T'); }
 
-void Server::request_reload() {
-  const char c = 'H';
-  if (notify_write_fd_ >= 0) (void)!::write(notify_write_fd_, &c, 1);
-}
+void Server::request_reload() { write_byte(notify_write_fd_, 'H'); }
 
 void Server::pause_worker() { queue_.set_paused(true); }
 
@@ -307,32 +304,13 @@ void Server::stop() {
     return;
   }
   request_stop();
-  acceptor_.join();  // exits on 'T', no longer accepting
-  close_fd(unix_fd_);
-  close_fd(tcp_fd_);
-  // Drain: no new admissions, the worker answers everything queued, late
-  // frames on open connections get `shutting_down` errors from readers.
+  // Drain: no new admissions (late frames on open connections get
+  // `shutting_down` errors), the worker answers everything queued, then
+  // the loop writes out every answer, closes every connection and exits.
   queue_.close();
-  resume_worker();
   worker_.join();
-  // The shedder drains any still-pending expired answers before exiting,
-  // so every admitted request got a response attempt.
-  {
-    std::lock_guard<std::mutex> lock(shed_mu_);
-    shed_stop_ = true;
-  }
-  shed_cv_.notify_all();
-  shedder_.join();
-  // Now unblock any reader still waiting on its client and let them exit.
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    for (const auto& conn : live_conns_) conn->shutdown_read();
-  }
-  {
-    std::unique_lock<std::mutex> lock(state_mu_);
-    state_cv_.wait(lock, [&] { return reader_threads_ == 0; });
-    live_conns_.clear();
-  }
+  write_byte(notify_write_fd_, 'D');
+  loop_.join();
   close_fd(notify_read_fd_);
   close_fd(notify_write_fd_);
   ::unlink(config_.socket_path.c_str());
@@ -345,160 +323,238 @@ void Server::do_reload() {
   if (registry_.reload()) stats_.reloads.fetch_add(1, std::memory_order_relaxed);
 }
 
-// ------------------------------------------------------------------ acceptor
+// ------------------------------------------------------------------- I/O loop
 
-void Server::acceptor_loop() {
-  for (;;) {
-    pollfd fds[3];
-    nfds_t n = 0;
-    fds[n++] = {notify_read_fd_, POLLIN, 0};
-    const int unix_slot = unix_fd_ >= 0 ? static_cast<int>(n) : -1;
-    if (unix_fd_ >= 0) fds[n++] = {unix_fd_, POLLIN, 0};
-    const int tcp_slot = tcp_fd_ >= 0 ? static_cast<int>(n) : -1;
-    if (tcp_fd_ >= 0) fds[n++] = {tcp_fd_, POLLIN, 0};
-    // Bounded tick, never -1: a quiet socket must not starve the
-    // expired-deadline sweep (or delay noticing anything else periodic).
-    const int r = ::poll(fds, n, kAcceptTickMs);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      obs::log_error("serve", "poll failed", {{"error", std::strerror(errno)}});
-      break;
-    }
-    shed_expired();
-    if (r == 0) continue;
-    if ((fds[0].revents & POLLIN) != 0) {
-      char buf[16];
-      const ssize_t r = ::read(notify_read_fd_, buf, sizeof buf);
-      bool stop = false;
-      for (ssize_t i = 0; i < r; ++i) {
-        if (buf[i] == 'H') do_reload();
-        if (buf[i] == 'T') stop = true;
+void Server::io_loop() {
+  std::vector<pollfd> fds;
+  bool draining = false;  // every job is answered: write out, close, return
+  try {
+    while (!draining || !conns_.empty()) {
+      // Slots 0-2: the self-pipe and the listeners (poll skips a closed
+      // listener's -1); slot 3 + i: conns_[i].
+      fds = {{notify_read_fd_, POLLIN, 0}, {unix_fd_, POLLIN, 0}, {tcp_fd_, POLLIN, 0}};
+      // The wait is capped so the expired-deadline sweep runs at least every 250 ms.
+      Clock::time_point wake = Clock::now() + std::chrono::milliseconds(250);
+      for (const Conn& c : conns_) {
+        // A peer that leaves a frame's worth of answers unread is not read
+        // until it catches up, so its output cannot grow without bound.
+        const bool reading = !c.hang_up && c.out.size() - c.sent < kMaxFrameBytes;
+        const int events = (reading ? POLLIN : 0) | (c.out.empty() ? 0 : POLLOUT);
+        fds.push_back({c.fd, static_cast<short>(events), 0});
+        wake = std::min({wake, c.read_by, c.write_by});
       }
-      if (stop) {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        stop_requested_ = true;
-        state_cv_.notify_all();
-        return;
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(wake - Clock::now()).count();
+      if (::poll(fds.data(), fds.size(), static_cast<int>(std::max<std::int64_t>(wait, 0))) < 0) {
+        if (errno == EINTR) continue;
+        throw util::IoError(std::string("serve: poll failed: ") + std::strerror(errno));
       }
-    }
-    for (const int slot : {unix_slot, tcp_slot}) {
-      if (slot < 0 || (fds[slot].revents & POLLIN) == 0) continue;
-      const int cfd = ::accept(fds[slot].fd, nullptr, nullptr);
-      if (cfd < 0) continue;
-      // Fault site sock.accept: the client vanished between connect and
-      // first frame — the daemon just moves on.
-      if (util::fault::should_fail("sock.accept")) {
-        ::close(cfd);
-        continue;
-      }
-      // Nonblocking so every read past a frame's first byte and every
-      // write runs under the poll-based io_timeout_ms deadline.
-      const int flags = ::fcntl(cfd, F_GETFL, 0);
-      if (flags >= 0) ::fcntl(cfd, F_SETFL, flags | O_NONBLOCK);
-      const bool is_tcp = slot == tcp_slot;
-      const std::uint64_t conn_no = stats_.connections.fetch_add(1, std::memory_order_relaxed);
-      auto conn = std::make_shared<Connection>(cfd, "conn" + std::to_string(conn_no + 1),
-                                               is_tcp, config_.io_timeout_ms, &stats_);
-      bool reject = false;
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        if (live_conns_.size() >= config_.max_conns) {
-          reject = true;
-        } else {
-          live_conns_.insert(conn);
-          ++reader_threads_;
+      if ((fds[0].revents & POLLIN) != 0) {
+        char buf[64];
+        const ssize_t n = ::read(notify_read_fd_, buf, sizeof buf);
+        for (ssize_t i = 0; i < n; ++i) {  // 'W' (replies waiting) needs no action
+          if (buf[i] == 'H') do_reload();
+          if (buf[i] == 'T') close_listeners();
+          if (buf[i] == 'D') draining = true;  // the worker has exited
         }
       }
-      if (reject) {
-        // Over the connection bound: answer `overloaded` (short write cap
-        // — the peer may be part of the problem) and hang up. The typed
-        // rejection is what lets a well-behaved client back off.
-        stats_.conn_rejected.fetch_add(1, std::memory_order_relaxed);
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        stats_.by_error_code[static_cast<std::size_t>(ErrorCode::kOverloaded)].fetch_add(
-            1, std::memory_order_relaxed);
-        conn->send(make_error_response(0, ErrorCode::kOverloaded,
-                                       "too many connections (" +
-                                           std::to_string(config_.max_conns) +
-                                           "); retry with backoff"),
-                   kShedSendTimeoutMs);
-        continue;
+      const auto now = Clock::now();
+      for (std::size_t i = 0; i + 3 < fds.size(); ++i)
+        if ((fds[i + 3].revents & (POLLIN | POLLHUP | POLLERR)) != 0 && !conns_[i].hang_up)
+          read_from(conns_[i], now);
+      if ((fds[1].revents & POLLIN) != 0) accept_from(unix_fd_, false);
+      if ((fds[2].revents & POLLIN) != 0) accept_from(tcp_fd_, true);
+      for (const Job& job : queue_.take_expired(now)) answer_expired(job);
+
+      std::vector<Reply> replies;
+      {
+        std::lock_guard<std::mutex> lock(replies_mu_);
+        replies.swap(replies_);
       }
-      // Readers are detached: their lifetime is tracked by reader_threads_
-      // (stop() waits for zero), not by joinable handles that would pile
-      // up over a long-lived daemon's connection churn.
-      std::thread([this, conn] { reader_loop(conn); }).detach();
+      for (Reply& r : replies) deliver(r, now);
+      for (Conn& c : conns_) {
+        if (draining) c.hang_up = true;
+        settle(c, now);
+      }
+      std::erase_if(conns_, [](const Conn& c) { return c.fd < 0; });
     }
+  } catch (const std::exception& e) {
+    obs::log_error("serve", "I/O loop failed", {{"error", e.what()}});
+  }
+  for (Conn& c : conns_) close_fd(c.fd);
+  conns_.clear();
+  close_listeners();
+}
+
+void Server::close_listeners() {
+  close_fd(unix_fd_);
+  close_fd(tcp_fd_);
+  stop_requested_.store(true);
+  stop_requested_.notify_all();
+}
+
+void Server::accept_from(int listen_fd, bool tcp) {
+  for (int fd; (fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0;) {
+    // Fault site sock.accept: the client vanished between connect and
+    // first frame — the daemon just moves on.
+    if (util::fault::should_fail("sock.accept")) {
+      ::close(fd);
+      continue;
+    }
+    const auto live = std::ranges::count(conns_, false, &Conn::hang_up);
+    const std::uint64_t id = stats_.connections.fetch_add(1, std::memory_order_relaxed) + 1;
+    conns_.push_back({.id = id, .fd = fd, .name = "conn" + std::to_string(id), .tcp = tcp});
+    if (static_cast<std::size_t>(live) < config_.max_conns) continue;
+    // Over the connection bound: answer `overloaded` and hang up. The
+    // typed rejection is what lets a well-behaved client back off.
+    stats_.conn_rejected.fetch_add(1, std::memory_order_relaxed);
+    send_error(id, 0, ErrorCode::kOverloaded,
+               "too many connections (" + std::to_string(config_.max_conns) +
+                   "); retry with backoff",
+               std::string(), /*hang_up=*/true);
   }
 }
 
-// -------------------------------------------------------------------- reader
-
-void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  std::string payload;
+void Server::read_from(Conn& c, Clock::time_point now) {
   try {
-    while (read_frame(conn->fd(), &payload, kMaxFrameBytes, conn->io_timeout_ms())) {
-      std::string err;
-      const auto req = obs::JsonValue::parse(payload, &err);
-      if (!req || !req->is_object()) {
-        send_error(conn, 0, ErrorCode::kBadRequest, "malformed JSON: " + err);
-        continue;
-      }
-      // Auth gates every request on an authenticated TCP listener — admin
-      // verbs included (shutdown over an open port must not be free). The
-      // unix socket is guarded by filesystem permissions instead.
-      if (conn->is_tcp() && !config_.auth_token.empty()) {
-        const obs::JsonValue* tok = req->find("auth_token");
-        const obs::JsonValue* rid = req->find("request_id");
-        if (tok == nullptr || !tok->is_string() ||
-            !token_equal_consttime(tok->as_string(), config_.auth_token)) {
-          send_error(conn, request_id(*req), ErrorCode::kUnauthorized,
-                     "missing or invalid auth_token",
-                     rid != nullptr && rid->is_string() ? rid->as_string() : std::string());
-          continue;
-        }
-      }
-      const obs::JsonValue* admin = req->find("admin");
-      if (admin != nullptr && admin->is_string())
-        handle_admin(conn, request_id(*req), admin->as_string());
-      else
-        handle_request(conn, *req);
+    const bool idle = c.in.empty();
+    char buf[64 * 1024];
+    ssize_t n = 0;
+    do {  // drain the socket, so a large frame takes few passes
+      // Fault site sock.read: a connection reset before each read.
+      if (util::fault::should_fail("sock.read"))
+        throw util::IoError("serve: socket read failed: injected connection reset");
+      n = ::read(c.fd, buf, sizeof buf);
+      if (n > 0) c.in.append(buf, static_cast<std::size_t>(n));
+    } while (n == static_cast<ssize_t>(sizeof buf) && c.in.size() < kMaxFrameBytes);
+    if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)
+      throw util::IoError(std::string("serve: socket read failed: ") + std::strerror(errno));
+    std::size_t used = 0;  // bytes of the complete frames handled below
+    while (c.in.size() - used >= kFrameHeaderBytes) {
+      const std::size_t len = decode_frame_header(c.in.data() + used);
+      if (c.in.size() - used - kFrameHeaderBytes < len) break;
+      handle_frame(c, std::string_view(c.in).substr(used + kFrameHeaderBytes, len));
+      used += kFrameHeaderBytes + len;
     }
-  } catch (const util::TimeoutError& e) {
-    // Slowloris: a frame started and stalled past io_timeout_ms. Nothing
-    // to answer — the frame never completed, so there is no request id to
-    // attribute a response to — the connection is simply reclaimed.
-    stats_.io_timeouts.fetch_add(1, std::memory_order_relaxed);
-    obs::log_warn("serve", "connection timed out mid-frame",
-                  {{"conn", conn->name()}, {"error", e.what()}});
+    c.in.erase(0, used);
+    if (n == 0 && !c.in.empty()) throw FrameError("serve: connection closed mid-frame");
+    if (n == 0)
+      c.hang_up = true;  // clean EOF between frames
+    else if (c.in.empty())
+      c.read_by = kNoDeadline;
+    else if (idle || used > 0)  // a new frame has started
+      c.read_by = deadline_after(now, config_.io_timeout_ms);
   } catch (const FrameError& e) {
     // Framing is unrecoverable (no boundary to resync on): answer a
-    // best-effort typed error so the peer learns why, then close.
-    send_error(conn, 0, ErrorCode::kBadRequest, e.what(), std::string(), kShedSendTimeoutMs);
-    obs::log_debug("serve", "connection dropped on framing error",
-                   {{"conn", conn->name()}, {"error", e.what()}});
+    // best-effort typed error so the peer learns why, then hang up.
+    send_error(c.id, 0, ErrorCode::kBadRequest, e.what(), std::string(), /*hang_up=*/true);
   } catch (const std::exception& e) {
-    obs::log_debug("serve", "connection dropped", {{"error", e.what()}});
+    obs::log_debug("serve", "connection dropped", {{"conn", c.name}, {"error", e.what()}});
+    close_fd(c.fd);
   }
-  std::lock_guard<std::mutex> lock(state_mu_);
-  live_conns_.erase(conn);
-  --reader_threads_;
-  state_cv_.notify_all();
 }
 
-void Server::handle_request(const std::shared_ptr<Connection>& conn, const obs::JsonValue& req) {
+void Server::handle_frame(const Conn& c, std::string_view payload) {
+  std::string err;
+  const auto req = obs::JsonValue::parse(payload, &err);
+  if (!req || !req->is_object()) {
+    send_error(c.id, 0, ErrorCode::kBadRequest, "malformed JSON: " + err);
+    return;
+  }
+  // Auth gates every request on an authenticated TCP listener — admin
+  // verbs included (shutdown over an open port must not be free). The
+  // unix socket is guarded by filesystem permissions instead.
+  if (c.tcp && !config_.auth_token.empty()) {
+    const obs::JsonValue* tok = req->find("auth_token");
+    const obs::JsonValue* rid = req->find("request_id");
+    if (tok == nullptr || !tok->is_string() ||
+        !token_equal_consttime(tok->as_string(), config_.auth_token)) {
+      send_error(c.id, request_id(*req), ErrorCode::kUnauthorized,
+                 "missing or invalid auth_token",
+                 rid != nullptr && rid->is_string() ? rid->as_string() : std::string());
+      return;
+    }
+  }
+  const obs::JsonValue* admin = req->find("admin");
+  if (admin != nullptr && admin->is_string())
+    handle_admin(c.id, request_id(*req), admin->as_string());
+  else
+    handle_request(c, *req);
+}
+
+void Server::deliver(Reply& r, Clock::time_point now) {
+  const auto it = std::ranges::find(conns_, r.conn, &Conn::id);
+  if (it == conns_.end() || it->fd < 0) return;  // the connection has gone: dropped
+  Conn& c = *it;
+  // Fault site sock.reset: the connection resets before a frame's first byte.
+  if (!r.frame.empty() && util::fault::should_fail("sock.reset")) {
+    obs::log_debug("serve", "response dropped, injected connection reset", {{"conn", c.name}});
+    close_fd(c.fd);
+    return;
+  }
+  if (c.out.empty()) c.write_by = deadline_after(now, config_.io_timeout_ms);
+  c.out.erase(0, std::exchange(c.sent, 0));
+  c.out += r.frame;
+  if (r.ok) stats_.responses.fetch_add(1, std::memory_order_relaxed);
+  if (r.hang_up) {
+    c.hang_up = true;
+    c.write_by = std::min(c.write_by, now + kHangUpWriteCap);
+  }
+}
+
+// Writes what the socket takes, then enforces the deadlines and hang-ups.
+void Server::settle(Conn& c, Clock::time_point now) {
+  if (!c.out.empty()) {
+    std::size_t chunk = c.out.size() - c.sent;
+    // Fault site sock.write.partial: the rest goes out on a later pass.
+    if (chunk > 1 && util::fault::should_fail("sock.write.partial")) chunk /= 2;
+    // MSG_NOSIGNAL: a peer that hung up is EPIPE, not a SIGPIPE that kills us.
+    const ssize_t n = ::send(c.fd, c.out.data() + c.sent, chunk, MSG_NOSIGNAL);
+    if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+      obs::log_debug("serve", "response dropped, peer gone",
+                     {{"conn", c.name}, {"error", std::strerror(errno)}});
+      close_fd(c.fd);
+      return;
+    }
+    if (n > 0) {
+      c.sent += static_cast<std::size_t>(n);
+      // Progress re-arms the write deadline; a hang-up's cap is absolute.
+      if (!c.hang_up) c.write_by = deadline_after(now, config_.io_timeout_ms);
+    }
+    if (c.sent == c.out.size()) {
+      std::string().swap(c.out);  // frees a large answer's buffer
+      c.sent = 0;
+      c.write_by = kNoDeadline;
+    }
+  }
+  if (now >= c.read_by || now >= c.write_by) {
+    // A frame stalled mid-read (slowloris) or the peer stopped reading.
+    stats_.io_timeouts.fetch_add(1, std::memory_order_relaxed);
+    obs::log_warn("serve", now >= c.read_by ? "connection timed out mid-frame"
+                                            : "connection timed out mid-response",
+                  {{"conn", c.name}});
+    close_fd(c.fd);
+  } else if (c.hang_up && c.out.empty()) {
+    close_fd(c.fd);
+  }
+}
+
+void Server::handle_request(const Conn& conn, const obs::JsonValue& req) {
   const std::int64_t id = request_id(req);
   const std::string rid = resolve_request_id(req);
+  if (rid.size() > kMaxKeyBytes) {  // bounded like the fairness key, and not echoed
+    send_error(conn.id, id, ErrorCode::kBadRequest, "request_id must be at most 128 bytes");
+    return;
+  }
   const obs::JsonValue* netlist = req.find("netlist");
   if (netlist == nullptr || !netlist->is_string()) {
-    send_error(conn, id, ErrorCode::kBadRequest,
+    send_error(conn.id, id, ErrorCode::kBadRequest,
                "request needs a string \"netlist\" (or \"admin\") field", rid);
     return;
   }
   Priority priority = Priority::kNormal;
   if (const obs::JsonValue* p = req.find("priority"); p != nullptr) {
     if (!p->is_string() || !parse_priority(p->as_string(), &priority)) {
-      send_error(conn, id, ErrorCode::kBadRequest,
+      send_error(conn.id, id, ErrorCode::kBadRequest,
                  "priority must be \"low\", \"normal\", or \"high\"", rid);
       return;
     }
@@ -507,11 +563,11 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn, const obs::
   job.id = id;
   job.request_id = rid;
   job.priority = priority;
-  job.client = conn->name();
+  job.client = conn.name;
   if (const obs::JsonValue* c = req.find("client"); c != nullptr) {
     // Bounded so a hostile stream of huge keys cannot bloat queue state.
-    if (!c->is_string() || c->as_string().empty() || c->as_string().size() > 128) {
-      send_error(conn, id, ErrorCode::kBadRequest,
+    if (!c->is_string() || c->as_string().empty() || c->as_string().size() > kMaxKeyBytes) {
+      send_error(conn.id, id, ErrorCode::kBadRequest,
                  "client must be a non-empty string of at most 128 bytes", rid);
       return;
     }
@@ -519,7 +575,7 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn, const obs::
   }
   job.netlist_text = netlist->as_string();
   job.netlist_hash = util::fnv1a64(job.netlist_text);
-  job.conn = conn;
+  job.conn = conn.id;
   job.enqueued_at = std::chrono::steady_clock::now();
   if (const obs::JsonValue* d = req.find("deadline_ms"); d != nullptr) {
     // Bounded above as well as below: a huge value (1e300) would make the
@@ -529,7 +585,7 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn, const obs::
     // an hour is not a per-request serving deadline. The negated
     // comparison also rejects NaN (every NaN compare is false).
     if (!d->is_number() || !(d->as_double() > 0.0) || d->as_double() > kMaxDeadlineMs) {
-      send_error(conn, id, ErrorCode::kBadRequest,
+      send_error(conn.id, id, ErrorCode::kBadRequest,
                  "deadline_ms must be a number in (0, " +
                      std::to_string(static_cast<std::int64_t>(kMaxDeadlineMs)) + "]",
                  rid);
@@ -542,86 +598,86 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn, const obs::
   static obs::Counter& rejected_c = obs::MetricsRegistry::instance().counter("serve.rejected");
   static obs::Gauge& depth_g = obs::MetricsRegistry::instance().gauge("serve.queue_depth");
   const std::string client = job.client;  // job is moved into the queue
-  switch (queue_.push(std::move(job))) {
+  flight_mark(rid, "begin");  // before the push: the worker may crash on the job first
+  const RequestQueue::PushResult pushed = queue_.push(std::move(job));
+  switch (pushed) {
     case RequestQueue::PushResult::kOk:
       stats_.requests.fetch_add(1, std::memory_order_relaxed);
       requests_c.add();
       depth_g.set(static_cast<double>(queue_.depth()));
-      flight_mark(rid, "begin");
       break;
     case RequestQueue::PushResult::kFull:
+    case RequestQueue::PushResult::kClientFull:
       stats_.rejected.fetch_add(1, std::memory_order_relaxed);
       rejected_c.add();
       // A shed request spent the whole error budget it was given: the SLO
       // window counts it as unavailability, not as fast failure.
       slo_.record(false, 0.0);
-      flight_mark(rid, "reject");
-      send_error(conn, id, ErrorCode::kQueueFull,
-                 "queue at capacity (" + std::to_string(queue_.capacity()) +
+      flight_mark(rid, "end queue_full");
+      // One wire code for a full queue and a full client share — the
+      // caller's remedy (back off) is identical — but the message names
+      // the fairness cap so a flooder's logs explain why the queue
+      // "looked" full to it alone.
+      send_error(conn.id, id, ErrorCode::kQueueFull,
+                 (pushed == RequestQueue::PushResult::kFull
+                      ? "queue at capacity (" + std::to_string(queue_.capacity())
+                      : "client '" + client + "' is at its queue share (" +
+                            std::to_string(queue_.client_cap()) + " of " +
+                            std::to_string(queue_.capacity())) +
                      "); retry with backoff",
-                 rid);
-      break;
-    case RequestQueue::PushResult::kClientFull:
-      // Same wire code as a full queue — the caller's remedy (back off)
-      // is identical — but the message names the fairness cap so a
-      // flooder's logs explain why the queue "looked" full to it alone.
-      stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-      rejected_c.add();
-      slo_.record(false, 0.0);
-      flight_mark(rid, "reject");
-      send_error(conn, id, ErrorCode::kQueueFull,
-                 "client '" + client + "' is at its queue share (" +
-                     std::to_string(queue_.client_cap()) + " of " +
-                     std::to_string(queue_.capacity()) + "); retry with backoff",
                  rid);
       break;
     case RequestQueue::PushResult::kClosed:
       slo_.record(false, 0.0);
-      send_error(conn, id, ErrorCode::kShuttingDown, "server is draining", rid);
+      flight_mark(rid, "end shutting_down");
+      send_error(conn.id, id, ErrorCode::kShuttingDown, "server is draining", rid);
       break;
   }
 }
 
-void Server::handle_admin(const std::shared_ptr<Connection>& conn, std::int64_t id,
-                          const std::string& cmd) {
-  if (cmd == "stats") {
-    obs::JsonValue resp = make_ok_response(id, registry_.current()->generation,
-                                           registry_.current()->degraded);
-    resp.set("stats", stats_json());
-    conn->send(resp);
+void Server::handle_admin(std::uint64_t conn, std::int64_t id, const std::string& cmd) {
+  if (cmd != "stats" && cmd != "healthz" && cmd != "reload" && cmd != "shutdown") {
+    send_error(conn, id, ErrorCode::kBadRequest,
+               "unknown admin command '" + cmd + "' (use stats, healthz, reload, shutdown)");
     return;
   }
-  if (cmd == "healthz") {
-    obs::JsonValue resp = make_ok_response(id, registry_.current()->generation,
-                                           registry_.current()->degraded);
-    resp.set("health", health_json());
-    conn->send(resp);
-    return;
-  }
-  if (cmd == "reload") {
-    do_reload();
-    const auto bundle = registry_.current();
-    // ok reflects availability, not reload success: a failed reload keeps
-    // the old generation serving, which the caller sees unchanged.
-    conn->send(make_ok_response(id, bundle->generation, bundle->degraded));
-    return;
-  }
-  if (cmd == "shutdown") {
-    conn->send(make_ok_response(id, registry_.current()->generation,
-                                registry_.current()->degraded));
-    request_stop();
-    return;
-  }
-  send_error(conn, id, ErrorCode::kBadRequest,
-             "unknown admin command '" + cmd + "' (use stats, healthz, reload, shutdown)");
+  if (cmd == "reload") do_reload();
+  // ok reflects availability, not reload success: a failed reload keeps
+  // the old generation serving, which the caller sees unchanged.
+  const auto bundle = registry_.current();
+  obs::JsonValue resp = make_ok_response(id, bundle->generation, bundle->degraded);
+  if (cmd == "stats") resp.set("stats", stats_json());
+  if (cmd == "healthz") resp.set("health", health_json());
+  reply(conn, resp);
+  if (cmd == "shutdown") request_stop();
 }
 
-void Server::send_error(const std::shared_ptr<Connection>& conn, std::int64_t id,
-                        ErrorCode code, const std::string& message, const std::string& rid,
-                        int timeout_ms_override) {
+void Server::reply(std::uint64_t conn, const obs::JsonValue& resp, bool ok, bool hang_up) {
+  Reply r{conn, std::string(), ok, hang_up};
+  try {
+    r.frame = encode_frame(resp.dump());
+  } catch (const util::IoError& e) {
+    // Over the frame cap: no peer can take it, so the connection ends.
+    obs::log_debug("serve", "response dropped", {{"error", e.what()}});
+    r.ok = false;
+    r.hang_up = true;
+  }
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(replies_mu_);
+    wake = replies_.empty();
+    replies_.push_back(std::move(r));
+  }
+  // One wake byte per empty-to-nonempty transition: the loop takes the
+  // whole list each pass, so the pipe never fills up.
+  if (wake) write_byte(notify_write_fd_, 'W');
+}
+
+void Server::send_error(std::uint64_t conn, std::int64_t id, ErrorCode code,
+                        const std::string& message, const std::string& rid, bool hang_up) {
   stats_.errors.fetch_add(1, std::memory_order_relaxed);
   stats_.by_error_code[static_cast<std::size_t>(code)].fetch_add(1, std::memory_order_relaxed);
-  conn->send(make_error_response(id, code, message, rid), timeout_ms_override);
+  reply(conn, make_error_response(id, code, message, rid), false, hang_up);
 }
 
 // Client-attributed shedding: the request carried a deadline and the
@@ -646,7 +702,7 @@ void Server::answer_expired(const Job& job) {
   shed_c.add();
   send_error(job.conn, job.id, ErrorCode::kDeadlineExceeded,
              "deadline expired after " + std::to_string(wait_us / 1000.0) + " ms in queue",
-             job.request_id, kShedSendTimeoutMs);
+             job.request_id);
   flight_mark(job.request_id, "end deadline_exceeded");
 
   RequestRecord rec;
@@ -661,34 +717,6 @@ void Server::answer_expired(const Job& job) {
   rec.phases.total_us = wait_us;
   rec.done_ts_ms = wall_ms_now();
   recent_.push(std::move(rec));
-}
-
-// Acceptor tick: pull expired jobs out of the queue immediately (so the
-// worker never sees them) but hand the answering to the shedder thread —
-// each shed write may block for its full kShedSendTimeoutMs cap against a
-// stalled peer, and a deep backlog of expired jobs answered inline would
-// stall accepts and stop handling for seconds.
-void Server::shed_expired() {
-  std::vector<Job> expired = queue_.take_expired(std::chrono::steady_clock::now());
-  if (expired.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(shed_mu_);
-    for (Job& job : expired) shed_pending_.push_back(std::move(job));
-  }
-  shed_cv_.notify_one();
-}
-
-void Server::shedder_loop() {
-  for (;;) {
-    std::vector<Job> batch;
-    {
-      std::unique_lock<std::mutex> lock(shed_mu_);
-      shed_cv_.wait(lock, [&] { return shed_stop_ || !shed_pending_.empty(); });
-      if (shed_pending_.empty()) return;  // only reachable when stopping
-      batch.swap(shed_pending_);
-    }
-    for (const Job& job : batch) answer_expired(job);
-  }
 }
 
 // The paragraph-stats-v1 document: one consistent live view of the
@@ -968,19 +996,15 @@ void Server::process_batch(std::vector<Job> batch) {
 
   std::vector<std::size_t> flat, hier;
   for (std::size_t gi = 0; gi < groups.size(); ++gi)
-    (groups[gi].job->netlist_text.find(".subckt") == std::string::npos &&
-     groups[gi].job->netlist_text.find(".SUBCKT") == std::string::npos
-         ? flat
-         : hier)
-        .push_back(gi);
+    (has_subckt_card(groups[gi].job->netlist_text) ? hier : flat).push_back(gi);
   runtime::parallel_for("serve_predict", flat.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) predict_group(groups[flat[i]], false);
   });
   for (const std::size_t gi : hier) predict_group(groups[gi], true);
 
   // Answer every job from its group's shared result, in batch (service)
-  // order, with per-request latency accounted end to end and a
-  // RequestRecord pushed into the telemetry surfaces for each.
+  // order, with per-request latency accounted up to the hand-off to the
+  // loop and a RequestRecord pushed into the telemetry surfaces for each.
   for (const Group& g : groups) {
     for (std::size_t k = 0; k < g.job_indices.size(); ++k) {
       const std::size_t j = g.job_indices[k];
@@ -990,7 +1014,7 @@ void Server::process_batch(std::vector<Job> batch) {
         obs::JsonValue resp =
             make_ok_response(job.id, bundle->generation, bundle->degraded, job.request_id);
         resp.set("predictions", g.predictions);
-        if (job.conn->send(resp)) stats_.responses.fetch_add(1, std::memory_order_relaxed);
+        reply(job.conn, resp, /*ok=*/true);
       } else {
         send_error(job.conn, job.id, g.error_code, g.error_message, job.request_id);
       }

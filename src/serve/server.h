@@ -1,16 +1,16 @@
 // The `paragraph serve` daemon: a resident inference server (DESIGN.md
 // §12).
 //
-// Thread model:
-//   * one acceptor thread polls the unix/TCP listeners and a self-pipe
-//     (the async notification channel signal handlers and admin commands
-//     write to);
-//   * one detached reader thread per connection parses frames, answers
-//     admin commands inline, and enqueues prediction jobs;
+// Thread model (the count does not grow with connections):
+//   * one I/O loop thread polls the listeners, a self-pipe (the async
+//     channel signal handlers, admin commands and the worker write to)
+//     and every nonblocking connection; it decodes frames, answers admin
+//     commands inline, enqueues prediction jobs, and writes responses;
 //   * one worker thread pops micro-batches off the priority queue and
-//     answers them. A single worker serialises GNN forwards (the runtime
-//     pool parallelises *inside* a batch), which keeps PlanCache use
-//     race-free and batch results deterministic.
+//     hands their encoded responses back through a completion list. A
+//     single worker serialises GNN forwards (the runtime pool
+//     parallelises *inside* a batch), which keeps PlanCache use race-free
+//     and batch results deterministic.
 //
 // Micro-batching: the worker drains up to max_batch queued jobs at once.
 // Within a batch, jobs carrying byte-identical netlists are coalesced
@@ -30,20 +30,20 @@
 // they started with; a failed reload keeps the old generation serving.
 //
 // Shutdown: SIGTERM/SIGINT (via notify_fd) or the "shutdown" admin
-// command stop admission — the listeners close, queued requests drain
-// through the worker, late requests on open connections get a typed
-// `shutting_down` error — then stop() joins everything and removes the
-// socket file.
+// command close the listeners, queued requests drain through the worker,
+// late requests on open connections get a typed `shutting_down` error,
+// the loop writes out every answer and closes every connection, then
+// stop() removes the socket file.
 //
-// Hostile conditions (DESIGN.md §14): accepted fds are nonblocking with a
-// per-frame io_timeout_ms deadline (a stalled peer times out instead of
-// pinning a reader or the worker), the acceptor runs a bounded poll tick
-// that sweeps expired-deadline jobs out of the queue, connection count is
-// bounded (typed `overloaded` past max_conns), admission is fair per
-// client key (per-client queue cap + deficit-round-robin dequeue within
-// each priority lane), and a TCP listener started with an auth token
-// rejects unauthenticated requests (`unauthorized`, constant-time
-// compare). The unix socket stays token-free.
+// Hostile conditions (DESIGN.md §14): io_timeout_ms deadlines cut a
+// peer stalled mid-frame or on its answers (no thread blocks on one),
+// each loop pass (at most 250 ms apart) sweeps expired-deadline jobs out
+// of the queue, connection count is bounded (typed `overloaded` past
+// max_conns), admission is fair per client key (per-client queue cap +
+// deficit-round-robin dequeue within each priority lane), and a TCP
+// listener started with an auth token rejects unauthenticated requests
+// (`unauthorized`, constant-time compare). The unix socket stays
+// token-free.
 //
 // Telemetry (DESIGN.md §13): every admitted request carries a stable
 // request id (client-propagated or server-assigned) and a phase
@@ -58,13 +58,12 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "gnn/plan_cache.h"
@@ -101,7 +100,7 @@ struct ServeConfig {
 struct ServerStats {
   std::atomic<std::uint64_t> connections{0};
   std::atomic<std::uint64_t> requests{0};   // admitted prediction jobs
-  std::atomic<std::uint64_t> responses{0};  // ok responses sent
+  std::atomic<std::uint64_t> responses{0};  // ok frames queued on a live conn
   std::atomic<std::uint64_t> rejected{0};   // queue_full admissions
   std::atomic<std::uint64_t> errors{0};     // error responses of any kind
   std::atomic<std::uint64_t> batches{0};    // worker micro-batches
@@ -117,61 +116,23 @@ struct ServerStats {
   std::array<std::atomic<std::uint64_t>, kNumErrorCodes> by_error_code{};
 };
 
-// One client socket, shared between its reader thread and the worker
-// (responses). Writes are mutex-serialised; a peer that vanished mid-
-// response is logged and ignored (the server must outlive any client).
-// Server-accepted fds are O_NONBLOCK so io_timeout_ms bounds every write
-// (a stalled reader cannot pin the worker in send()) and every read past
-// a frame's first byte.
-class Connection {
- public:
-  explicit Connection(int fd, std::string name = std::string(), bool is_tcp = false,
-                      int io_timeout_ms = 0, ServerStats* stats = nullptr)
-      : fd_(fd), name_(std::move(name)), is_tcp_(is_tcp), io_timeout_ms_(io_timeout_ms),
-        stats_(stats) {}
-  ~Connection();
-  Connection(const Connection&) = delete;
-  Connection& operator=(const Connection&) = delete;
-
-  // Serialises and frames `resp`; returns false when the peer is gone or
-  // the write deadline expired. timeout_ms_override >= 0 replaces the
-  // connection's io_timeout_ms for this one send (shed answers to
-  // possibly-hostile peers use a short cap).
-  bool send(const obs::JsonValue& resp, int timeout_ms_override = -1);
-  // Half-closes the read side to unblock the reader thread (shutdown).
-  void shutdown_read();
-  int fd() const { return fd_; }
-  // Connection identity ("conn<N>"): the default fairness key.
-  const std::string& name() const { return name_; }
-  bool is_tcp() const { return is_tcp_; }
-  int io_timeout_ms() const { return io_timeout_ms_; }
-
- private:
-  int fd_;
-  const std::string name_;
-  const bool is_tcp_;
-  const int io_timeout_ms_;
-  ServerStats* const stats_;
-  std::mutex write_mu_;
-};
-
 class Server {
  public:
   explicit Server(ServeConfig config);
   ~Server();
 
   // Binds the listeners (util::IoError when the socket path or TCP port
-  // is taken), loads the initial model generation, and spawns the
-  // acceptor and worker threads. Throws on any failure; a constructed-
-  // but-not-started Server needs no stop().
+  // is taken), loads the initial model generation, and spawns the I/O
+  // loop and worker threads. Throws on any failure; a constructed-but-
+  // not-started Server needs no stop().
   void start();
 
   // Blocks until shutdown is requested (signal, admin command, or
   // request_stop from another thread).
   void wait();
 
-  // Drains and tears down: stops admission, answers the backlog, joins
-  // every thread, unlinks the socket file. Idempotent.
+  // Drains and tears down: stops admission, answers and writes out the
+  // backlog, closes every connection, unlinks the socket file. Idempotent.
   void stop();
 
   // Async requests, safe from signal handlers via notify_fd().
@@ -198,35 +159,42 @@ class Server {
   void resume_worker();
 
  private:
+  using Clock = std::chrono::steady_clock;
+  struct Conn;   // one client socket's state, owned by the loop thread
+  struct Reply;  // one encoded response on its way to the loop
+
   void bind_unix();
   void bind_tcp();
-  void acceptor_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
   void worker_loop();
   void process_batch(std::vector<Job> batch);
-  void handle_admin(const std::shared_ptr<Connection>& conn, std::int64_t id,
-                    const std::string& cmd);
-  void handle_request(const std::shared_ptr<Connection>& conn, const obs::JsonValue& req);
   obs::JsonValue stats_json() const;
   obs::JsonValue health_json() const;
   void finish_request(const Job& job, RequestRecord record);
   void do_reload();
-  // Sends a typed error and counts it (stats_.errors + the per-code
-  // counter). timeout_ms_override as in Connection::send.
-  void send_error(const std::shared_ptr<Connection>& conn, std::int64_t id, ErrorCode code,
+  // Encodes `resp` on the calling thread and hands it to the loop for
+  // connection `conn`. ok counts it in stats_.responses once it reaches a
+  // live connection; hang_up makes it the connection's last frame.
+  void reply(std::uint64_t conn, const obs::JsonValue& resp, bool ok = false,
+             bool hang_up = false);
+  // reply() for a typed error, counted in stats_.errors and per code.
+  void send_error(std::uint64_t conn, std::int64_t id, ErrorCode code,
                   const std::string& message, const std::string& rid = std::string(),
-                  int timeout_ms_override = -1);
+                  bool hang_up = false);
   // Answers one job whose deadline passed before work started: typed
   // deadline_exceeded, client-attributed (queue-wait histogram and recent
   // ring recorded; SLO windows and the latency histogram skipped).
   void answer_expired(const Job& job);
-  // Acceptor-tick sweep: drains expired jobs out of the queue so dead
-  // work never reaches the worker. The answers themselves go to the
-  // shedder thread — each shed write can legitimately stall for its full
-  // (short) cap against a hostile peer, and a deep backlog of those must
-  // not delay accepts, stop notification, or the next sweep.
-  void shed_expired();
-  void shedder_loop();
+
+  // The I/O loop thread and its steps.
+  void io_loop();
+  void close_listeners();
+  void accept_from(int listen_fd, bool tcp);
+  void read_from(Conn& conn, Clock::time_point now);
+  void handle_frame(const Conn& conn, std::string_view payload);
+  void handle_request(const Conn& conn, const obs::JsonValue& req);
+  void handle_admin(std::uint64_t conn, std::int64_t id, const std::string& cmd);
+  void deliver(Reply& reply, Clock::time_point now);
+  void settle(Conn& conn, Clock::time_point now);
 
   ServeConfig config_;
   ModelRegistry registry_;
@@ -242,23 +210,16 @@ class Server {
   int notify_read_fd_ = -1;
   int notify_write_fd_ = -1;
 
-  std::thread acceptor_;
-  std::thread worker_;
-  std::thread shedder_;
+  std::vector<Conn> conns_;  // loop-thread only
+
+  std::mutex replies_mu_;
+  std::vector<Reply> replies_;  // for the loop to write; guarded by replies_mu_
+
+  std::atomic<bool> stop_requested_{false};  // set when the loop closes the listeners
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
-
-  // Expired jobs handed from the acceptor sweep to the shedder thread.
-  std::mutex shed_mu_;
-  std::condition_variable shed_cv_;
-  std::vector<Job> shed_pending_;
-  bool shed_stop_ = false;
-
-  std::mutex state_mu_;
-  std::condition_variable state_cv_;
-  bool stop_requested_ = false;  // set by acceptor on 'T' / request_stop
-  std::unordered_set<std::shared_ptr<Connection>> live_conns_;
-  std::size_t reader_threads_ = 0;  // detached readers still running
+  std::thread worker_;
+  std::thread loop_;
 };
 
 }  // namespace paragraph::serve

@@ -4,8 +4,8 @@
 //
 // Everything here is always-on: serve operations are milliseconds-scale,
 // so unlike the nanosecond kernel counters these records are not gated on
-// obs::enabled(). The `stats` admin verb reads these structures while the
-// worker and reader threads keep writing, so every container is
+// obs::enabled(). The `stats` admin verb reads these structures on the
+// I/O loop while the worker keeps writing them, so every container is
 // mutex-guarded and snapshots copy out under the lock.
 #pragma once
 
@@ -27,10 +27,10 @@ std::string next_request_id();
 // Wall-time breakdown of one request's life, microseconds. queue_us is
 // admission to worker pickup; parse/plan/predict are shared by every job
 // coalesced into the same group (each job reports the group's cost);
-// serialize_us is response build + socket write; total_us is admission to
-// answered. plan_us is only split out on the flat-deck path — hierarchical
-// decks build plans inside the cache-aware predict, so it folds into
-// predict_us there.
+// serialize_us is response build + encode + hand-off to the I/O loop (it
+// writes the socket later); total_us is admission to that hand-off.
+// plan_us is only split out on the flat-deck path — hierarchical decks
+// build plans inside the cache-aware predict, so it folds into predict_us.
 struct RequestPhases {
   double queue_us = 0.0;
   double parse_us = 0.0;

@@ -31,15 +31,17 @@
 //   serve.crash    serve worker, start of a micro-batch (calls
 //                  std::abort(); the crash dump must name the in-flight
 //                  request ids)
-//   sock.accept    serve acceptor, after ::accept succeeds (the accepted
+//   sock.accept    serve I/O loop, after accept succeeds (the accepted
 //                  fd is closed immediately; simulates a client that
 //                  vanishes between connect and first frame)
-//   sock.read      framed socket read, before the syscall (throws
+//   sock.read      serve I/O loop and read_frame, before each read
+//                  syscall (the connection drops / read_frame throws
 //                  IoError; simulates a connection reset mid-read)
-//   sock.write.partial  framed socket write (truncates one send() chunk
-//                  to half, exercising the partial-write resume path;
-//                  frame bytes stay intact)
-//   sock.reset     framed socket write, before the syscall (throws
+//   sock.write.partial  serve I/O loop and write_frame (truncates one
+//                  send() chunk to half, exercising the partial-write
+//                  resume path; frame bytes stay intact)
+//   sock.reset     serve I/O loop and write_frame, before a frame's first
+//                  byte (the connection drops / write_frame throws
 //                  IoError; simulates ECONNRESET on reply delivery)
 #pragma once
 

@@ -497,7 +497,7 @@ TEST(CliSmokeTest, ServeCrashDumpNamesInflightRequests) {
                 "\" \"" + g_cli_path + "\" serve --socket \"" + sock + "\" --model \"" + model +
                 "\" > \"" + tmp.path.string() + "/serve.log\" 2>&1 &"),
             0);
-  // Admin commands answer on the reader thread, so readiness polling does
+  // Admin commands answer on the I/O loop, so readiness polling does
   // not trip the worker-side fault.
   bool up = false;
   for (int i = 0; i < 200 && !up; ++i) {

@@ -126,6 +126,12 @@ TEST(ProtocolFuzz, MalformedFramesGetTypedErrorsAndServerSurvives) {
                     "{\"id\": 5, \"netlist\": \"C1 a b 1f\\n\", \"client\": \"" +
                         std::string(300, 'k') + "\"}",
                     false, 0, "bad_request", true});
+  // The trace id is echoed and retained in telemetry: bounded like the
+  // client key, and refused without being echoed back.
+  corpus.push_back({"request_id_oversized",
+                    "{\"id\": 10, \"netlist\": \"C1 a b 1f\\n\", \"request_id\": \"" +
+                        std::string(2000, 'r') + "\"}",
+                    false, 0, "bad_request", true});
   corpus.push_back({"bad_priority",
                     "{\"id\": 6, \"netlist\": \"C1 a b 1f\\n\", \"priority\": \"urgent\"}",
                     false, 0, "bad_request", true});
@@ -143,6 +149,7 @@ TEST(ProtocolFuzz, MalformedFramesGetTypedErrorsAndServerSurvives) {
     ASSERT_TRUE(resp.has_value()) << payload;
     EXPECT_FALSE(resp->at("ok").as_bool());
     EXPECT_EQ(resp->at("error").at("code").as_string(), fc.expect_code) << payload;
+    EXPECT_LT(payload.size(), 1024u) << "a typed answer must not echo oversized input";
     if (fc.conn_survives) {
       // Same connection, well-formed request: still served.
       EXPECT_TRUE(client.admin("stats").at("ok").as_bool());
@@ -158,7 +165,7 @@ TEST(ProtocolFuzz, MalformedFramesGetTypedErrorsAndServerSurvives) {
     ServeClient client = ServeClient::connect_unix(cfg.socket_path);
     const char half_header[2] = {0x08, 0x00};
     ASSERT_EQ(::send(client.fd(), half_header, 2, MSG_NOSIGNAL), 2);
-    // Close mid-header: reader sees EOF inside the frame and gives up.
+    // Close mid-header: the server sees EOF inside the frame and gives up.
   }
   {
     ServeClient client = ServeClient::connect_unix(cfg.socket_path);

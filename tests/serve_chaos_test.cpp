@@ -317,9 +317,9 @@ TEST(ServeChaos, SoakSurvivesHostileTrafficFaultsAndReloads) {
   // ...and its stats document is coherent: schema intact, every request
   // accounted, nothing STUCK in flight. Requests abandoned mid-soak
   // (their client hung up) may still be draining through the worker when
-  // the hammers stop — admin answers come from the reader thread, not
-  // the queue — so the drain gets a bounded grace period; what must
-  // never happen is inflight failing to reach zero at all.
+  // the hammers stop — admin answers come from the I/O loop, not the
+  // queue — so the drain gets a bounded grace period; what must never
+  // happen is inflight failing to reach zero at all.
   obs::JsonValue stats = probe.admin("stats").at("stats");
   for (int i = 0; i < 500; ++i) {
     const obs::JsonValue& s = stats.at("server");
@@ -346,14 +346,9 @@ TEST(ServeChaos, SoakSurvivesHostileTrafficFaultsAndReloads) {
 
   server.stop();
 
-  // ---- fd hygiene: everything the soak opened is closed again. Detached
-  // reader threads finish closing a beat after stop() returns; give them
-  // a moment before calling it a leak. Slack covers allocator/proc churn.
-  int fds_after = open_fd_count();
-  for (int i = 0; i < 500 && fds_after > fds_before + 4; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    fds_after = open_fd_count();
-  }
+  // ---- fd hygiene: everything the soak opened is closed again by the
+  // time stop() returns. Slack covers allocator/proc churn.
+  const int fds_after = open_fd_count();
   EXPECT_LE(fds_after, fds_before + 4)
       << "fd leak: " << fds_before << " open before the soak, " << fds_after << " after";
 }

@@ -28,6 +28,7 @@
 #include "serve/telemetry.h"
 #include "util/errors.h"
 #include "util/faultinject.h"
+#include "util/strings.h"
 
 namespace paragraph::serve {
 namespace {
@@ -178,7 +179,7 @@ TEST(Serve, BatchedResponsesBitIdenticalToSingle) {
       write_frame(client.fd(), req.dump());
     }
     // All admitted before any service: the admission happens on the
-    // reader thread, so wait for the queue to fill.
+    // I/O loop, so wait for the queue to fill.
     while (server.stats().requests.load() < decks.size())
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     server.resume_worker();
@@ -495,10 +496,64 @@ TEST(Serve, ShutdownAdminDrainsAndStops) {
   server.start();
   ServeClient client = ServeClient::connect_unix(cfg.socket_path);
   EXPECT_TRUE(client.admin("shutdown").at("ok").as_bool());
-  server.wait();  // returns once the acceptor saw the stop byte
+  server.wait();  // returns once the loop saw the stop byte
   server.stop();
   // Fresh connections are refused after teardown.
   EXPECT_THROW(ServeClient::connect_unix(cfg.socket_path), util::IoError);
+}
+
+TEST(Serve, SubcktCardOfAnyCaseTakesThePlanCachePath) {
+  // SPICE cards are case-insensitive: a `.Subckt` deck is as hierarchical
+  // as a `.subckt` one, so it must reach the PlanCache and answer the
+  // same predictions bit for bit.
+  const auto chain_deck = [](const std::string& subckt_card) {
+    // A 16-device template (eight inverters), instantiated 40 times.
+    std::string deck = subckt_card + " chain n0 n8\n";
+    for (int i = 1; i <= 8; ++i) {
+      deck += util::format("Mn%d n%d n%d vss vss nmos L=16n W=32n\n", i, i, i - 1);
+      deck += util::format("Mp%d n%d n%d vdd vdd pmos L=16n W=64n\n", i, i, i - 1);
+    }
+    deck += ".ends\n";
+    for (int k = 0; k < 40; ++k) deck += util::format("X%d s%d s%d chain\n", k, k, k + 1);
+    return deck + "C1 s40 vss 1f\n";
+  };
+  ServeConfig cfg = base_config("subckt_case", artifacts().ensemble_a);
+  Server server(cfg);
+  server.start();
+  ServeClient client = ServeClient::connect_unix(cfg.socket_path);
+  const obs::JsonValue lower = client.predict(chain_deck(".subckt"));
+  ASSERT_TRUE(lower.at("ok").as_bool()) << lower.dump();
+
+  const obs::Counter& hits = obs::MetricsRegistry::instance().counter("plancache.hits");
+  const std::uint64_t hits_before = hits.value();
+  const obs::JsonValue mixed = client.predict(chain_deck(".Subckt"));
+  ASSERT_TRUE(mixed.at("ok").as_bool()) << mixed.dump();
+  EXPECT_GT(hits.value(), hits_before) << "a .Subckt deck must take the PlanCache path";
+  EXPECT_EQ(predictions_of(mixed), predictions_of(lower));
+  server.stop();
+}
+
+TEST(Serve, IdleConnectionsAddNoThreads) {
+  // One I/O loop serves every connection: 64 open connections cost file
+  // descriptors, not threads.
+  const auto task_count = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/task"))
+      ++n;
+    return n;
+  };
+  ServeConfig cfg = base_config("threads", artifacts().ensemble_a);
+  Server server(cfg);
+  server.start();
+  const std::size_t before = task_count();
+  std::vector<ServeClient> conns;
+  for (int i = 0; i < 64; ++i) conns.push_back(ServeClient::connect_unix(cfg.socket_path));
+  // Connections are accepted in order, so an answer on the last one means
+  // the server holds all 64.
+  ASSERT_TRUE(conns.back().admin("healthz").at("ok").as_bool());
+  EXPECT_EQ(server.stats().connections.load(), 64u);
+  EXPECT_LE(task_count(), before) << "the thread count must not follow the connection count";
+  server.stop();
 }
 
 // ------------------------------------------------------------ SLO tracking
@@ -673,8 +728,8 @@ TEST(Serve, HealthzReportsOverloadAndDegradation) {
   EXPECT_FALSE(resp.at("health").at("degraded").as_bool());
   EXPECT_FALSE(resp.at("health").at("overloaded").as_bool());
 
-  // Held backlog at capacity: overloaded (admin answers on the reader
-  // thread, so healthz still responds while the worker is paused).
+  // Held backlog at capacity: overloaded (admin answers on the I/O
+  // loop, so healthz still responds while the worker is paused).
   server.pause_worker();
   const std::string deck = test_decks()[0];
   for (int i = 0; i < 2; ++i) {
@@ -985,7 +1040,7 @@ TEST(Serve, ExpiredDeadlineShedsBeforeServiceAndSkipsSlo) {
   req.set("netlist", test_decks()[0]);
   req.set("deadline_ms", 1.0);
   write_frame(client.fd(), req.dump());
-  // The acceptor's bounded tick sweeps the queue, so the typed answer
+  // The loop's bounded poll tick sweeps the queue, so the typed answer
   // arrives while the worker is still paused — proof the request was
   // shed before any parse/plan/predict work.
   std::string payload;
@@ -1020,7 +1075,7 @@ TEST(Serve, ExpiredDeadlineShedsBeforeServiceAndSkipsSlo) {
 
 TEST(Serve, WorkerShedsExpiredJobsAtBatchStart) {
   // Freeze admission with a paused worker, let the deadline lapse, then
-  // resume: the worker's own pre-batch sweep (not the acceptor tick) must
+  // resume: the worker's own pre-batch sweep (not the loop's tick) must
   // also shed, because a long-running batch can outlast any tick.
   ServeConfig cfg = base_config("batchshed", artifacts().ensemble_a);
   cfg.max_batch = 4;
@@ -1116,7 +1171,7 @@ TEST(Serve, SlowlorisFrameTimesOutAndDisconnects) {
   server.start();
   ServeClient client = ServeClient::connect_unix(cfg.socket_path);
   // Two header bytes arm the frame deadline; then stall. The server must
-  // cut the connection instead of pinning a reader thread forever.
+  // cut the connection instead of holding it open forever.
   const char torn[2] = {0x10, 0x00};
   ASSERT_EQ(::send(client.fd(), torn, sizeof torn, MSG_NOSIGNAL),
             static_cast<ssize_t>(sizeof torn));
