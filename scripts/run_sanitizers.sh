@@ -18,6 +18,12 @@
 #                                          # sketches/PSI, quality accounting
 #                                          # + report, flight recorder) under
 #                                          # all three sanitizers
+#   scripts/run_sanitizers.sh core         # the core label (predictor
+#                                          # train/evaluate/predict_all,
+#                                          # model-file round trips, thread-
+#                                          # count determinism, golden
+#                                          # fixtures) under all three
+#                                          # sanitizers
 #   scripts/run_sanitizers.sh scale        # the scale label (plan-cache
 #                                          # bitwise equivalence, shard-store
 #                                          # round trips and streamed
@@ -52,6 +58,7 @@ case "${1:-}" in
   address|undefined|thread) sans="$1"; shift ;;
   robustness) shift; set -- -L robustness "$@" ;;
   quality) shift; set -- -L quality "$@" ;;
+  core) shift; set -- -L core "$@" ;;
   scale) shift; set -- -L scale "$@" ;;
   serve) shift; set -- -L serve "$@" ;;
   obs) shift; set -- -L obs "$@" ;;

@@ -54,6 +54,7 @@ class ClassicalPredictor {
   void fit(const dataset::SuiteDataset& ds);
   // Raw-unit predictions for all nodes of the target's node types.
   std::vector<float> predict_all(const dataset::Sample& sample) const;
+  const TargetScaler& scaler() const { return scaler_; }
 
  private:
   LearnerKind learner_;

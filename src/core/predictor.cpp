@@ -71,6 +71,15 @@ TargetScaler TargetScaler::fit_log_zscore(const std::vector<float>& train_values
   return s;
 }
 
+TargetScaler TargetScaler::fit(TargetKind target, double max_v_ff,
+                               const std::vector<float>& pooled) {
+  switch (target) {
+    case TargetKind::kCap: return for_cap(max_v_ff);
+    case TargetKind::kRes: return fit_log_zscore(pooled);
+    default: return fit_zscore(pooled);
+  }
+}
+
 float TargetScaler::transform(float raw) const {
   if (zscore_) {
     const double v = log_space_ ? std::log10(std::max(raw, 1e-6f)) : raw;
@@ -117,12 +126,39 @@ eval::RegressionMetrics EvalResult::pooled() const {
 // ------------------------------------------------------ GnnPredictor ----
 
 namespace {
+
 // Process-unique weight identities; every construction or completed train
 // gets a fresh one, so PlanCache embeddings keyed by it cannot go stale.
 std::uint64_t next_model_key() {
   static std::atomic<std::uint64_t> next{0};
   return ++next;
 }
+
+// The one batch builder: normalised features for every populated node
+// type of `g`, for training, inference and the PlanCache's embed callback.
+GraphBatch make_batch(const dataset::FeatureNormalizer& norm, const graph::HeteroGraph& g,
+                      const gnn::GraphPlan* plan) {
+  GraphBatch b;
+  b.graph = &g;
+  b.plan = plan;
+  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
+    const auto nt = static_cast<NodeType>(t);
+    if (g.num_nodes(nt) == 0) continue;
+    b.features[t] = Tensor(norm.apply(g, nt));
+  }
+  return b;
+}
+
+double global_grad_norm(const std::vector<Tensor>& params) {
+  double total = 0.0;
+  for (const auto& p : params) {
+    const Matrix& g = p.grad();
+    for (std::size_t i = 0; i < g.size(); ++i)
+      total += static_cast<double>(g.data()[i]) * g.data()[i];
+  }
+  return std::sqrt(total);
+}
+
 }  // namespace
 
 GnnPredictor::GnnPredictor(const PredictorConfig& config)
@@ -145,40 +181,25 @@ bool GnnPredictor::needs_homo() const {
   }
 }
 
-GraphBatch GnnPredictor::make_batch(const dataset::FeatureNormalizer& norm, const Sample& sample,
-                                    const gnn::GraphPlan* plan) const {
-  GraphBatch b;
-  b.graph = &sample.graph;
-  b.plan = plan;
-  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-    const auto nt = static_cast<NodeType>(t);
-    if (sample.graph.num_nodes(nt) == 0) continue;
-    b.features[t] = Tensor(norm.apply(sample.graph, nt));
-  }
-  return b;
-}
-
 struct GnnPredictor::Prepared {
   std::unique_ptr<gnn::GraphPlan> plan;
   GraphBatch batch;                  // points into the sample's graph
   std::vector<nn::IndexHandle> idx;  // per type slot, in-range node ids
   std::vector<Matrix> target;        // per type slot, scaled targets
-  // Streamed path: the materialised sample the batch references. The
-  // in-memory path leaves it null (the SuiteDataset owns its samples).
-  std::shared_ptr<const Sample> owned;
+  // The sample the batch references: owning on the streamed path, an
+  // aliasing pointer into the SuiteDataset on the in-memory one.
+  std::shared_ptr<const Sample> sample;
 };
 
 std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
-    const dataset::FeatureNormalizer& norm, const Sample& s,
-    std::shared_ptr<const Sample> owned) const {
+    const dataset::FeatureNormalizer& norm, std::shared_ptr<const Sample> s) const {
   const auto& types = dataset::target_node_types(config_.target);
   auto p = std::make_shared<Prepared>();
-  p->owned = std::move(owned);
-  p->plan = std::make_unique<gnn::GraphPlan>(gnn::GraphPlan::build(s.graph, needs_homo()));
-  p->batch = make_batch(norm, s, p->plan.get());
+  p->plan = std::make_unique<gnn::GraphPlan>(gnn::GraphPlan::build(s->graph, needs_homo()));
+  p->batch = make_batch(norm, s->graph, p->plan.get());
   bool any = false;
   for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const auto& raw = s.target_values(config_.target, slot);
+    const auto& raw = s->target_values(config_.target, slot);
     std::vector<std::int32_t> idx;
     std::vector<float> scaled;
     for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -190,45 +211,57 @@ std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
     p->target.emplace_back(scaled.size(), 1, std::move(scaled));
     if (!p->idx.back()->empty()) any = true;
   }
-  return any ? p : nullptr;
+  if (!any) throw std::logic_error("GnnPredictor::train: sample lost its in-range targets mid-run");
+  p->sample = std::move(s);
+  return p;
 }
 
-namespace {
-
-double global_grad_norm(const std::vector<Tensor>& params) {
-  double total = 0.0;
-  for (const auto& p : params) {
-    const Matrix& g = p.grad();
-    for (std::size_t i = 0; i < g.size(); ++i)
-      total += static_cast<double>(g.data()[i]) * g.data()[i];
+std::vector<std::size_t> GnnPredictor::fit_training_set(std::size_t n, const SampleAt& at) {
+  PARAGRAPH_TIMED_SCOPE("fit");
+  // Drift reference (persisted with the model, format v5) in two streaming
+  // passes, bit-identical to eval::sketch_graphs over the same samples.
+  // The first pass also pools the targets in SuiteDataset::pooled_targets
+  // order; the second, once the scaler is fit, picks the samples with any
+  // in-range target, in train order.
+  const auto target = static_cast<std::size_t>(config_.target);
+  eval::SketchBuilder sketches;
+  std::vector<float> pooled;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::shared_ptr<const Sample> s = at(i);
+    sketches.observe_range(*s);
+    for (const auto& vec : s->targets[target]) pooled.insert(pooled.end(), vec.begin(), vec.end());
   }
-  return std::sqrt(total);
+  scaler_ = TargetScaler::fit(config_.target, config_.max_v_ff, pooled);
+  const auto any_in_range = [this](const std::vector<float>& raw) {
+    return std::any_of(raw.begin(), raw.end(), [this](float v) { return scaler_.in_range(v); });
+  };
+  sketches.begin_fill();
+  std::vector<std::size_t> eligible;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::shared_ptr<const Sample> s = at(i);
+    sketches.observe_values(*s);
+    const auto& slots = s->targets[target];
+    if (std::any_of(slots.begin(), slots.end(), any_in_range)) eligible.push_back(i);
+  }
+  sketches_ = sketches.finish();
+  return eligible;
 }
-
-}  // namespace
 
 std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallback& on_epoch,
                                         const TrainOptions& options) {
   PARAGRAPH_TIMED_SCOPE("train");
-
-  // Drift reference: what "inputs like the training set" looks like.
-  // Persisted with the model (format v5) and compared against live
-  // inference inputs by eval::check_drift.
-  sketches_ = eval::sketch_graphs(ds.train);
-
-  if (config_.target == TargetKind::kRes) {
-    scaler_ = TargetScaler::fit_log_zscore(SuiteDataset::pooled_targets(ds.train, config_.target));
-  } else if (config_.target != TargetKind::kCap) {
-    scaler_ = TargetScaler::fit_zscore(SuiteDataset::pooled_targets(ds.train, config_.target));
-  }
+  // Aliasing pointers with no owner: the dataset outlives the run.
+  const SampleAt at = [&ds](std::size_t i) {
+    return std::shared_ptr<const Sample>(std::shared_ptr<const Sample>(), &ds.train[i]);
+  };
+  const std::vector<std::size_t> eligible = fit_training_set(ds.train.size(), at);
 
   // Precompute the graph plan, batch, per-slot training indices, and
   // scaled targets once per sample; every epoch's forward reuses them.
   std::vector<std::shared_ptr<const Prepared>> prepared;
   {
     PARAGRAPH_TIMED_SCOPE("prepare");
-    for (const Sample& s : ds.train)
-      if (auto p = prepare_sample(ds.normalizer, s, nullptr)) prepared.push_back(std::move(p));
+    for (const std::size_t i : eligible) prepared.push_back(prepare_sample(ds.normalizer, at(i)));
   }
   PreparedSource src;
   src.count = prepared.size();
@@ -239,46 +272,8 @@ std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallb
 std::vector<double> GnnPredictor::train(dataset::ShardStore& store, const EpochCallback& on_epoch,
                                         const TrainOptions& options) {
   PARAGRAPH_TIMED_SCOPE("train");
-  const std::size_t n = store.num_train();
-  const auto& types = dataset::target_node_types(config_.target);
-
-  // Drift sketches in two streaming passes (range fit, then fill) —
-  // bit-identical to eval::sketch_graphs over the materialised set.
-  {
-    PARAGRAPH_TIMED_SCOPE("sketch");
-    eval::SketchBuilder sb;
-    for (std::size_t i = 0; i < n; ++i) sb.observe_range(*store.train(i));
-    sb.begin_fill();
-    for (std::size_t i = 0; i < n; ++i) sb.observe_values(*store.train(i));
-    sketches_ = sb.finish();
-  }
-
-  if (config_.target != TargetKind::kCap) {
-    // Same pooling order as SuiteDataset::pooled_targets.
-    std::vector<float> pooled;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto s = store.train(i);
-      for (const auto& vec : s->targets[static_cast<std::size_t>(config_.target)])
-        pooled.insert(pooled.end(), vec.begin(), vec.end());
-    }
-    scaler_ = config_.target == TargetKind::kRes ? TargetScaler::fit_log_zscore(pooled)
-                                                 : TargetScaler::fit_zscore(pooled);
-  }
-
-  // Eligible samples (any in-range target) in train order — the same
-  // filter the in-memory path applies while preparing.
-  std::vector<std::size_t> eligible;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto s = store.train(i);
-    bool any = false;
-    for (std::size_t slot = 0; slot < types.size() && !any; ++slot)
-      for (const float raw : s->target_values(config_.target, slot))
-        if (scaler_.in_range(raw)) {
-          any = true;
-          break;
-        }
-    if (any) eligible.push_back(i);
-  }
+  const std::vector<std::size_t> eligible =
+      fit_training_set(store.num_train(), [&store](std::size_t i) { return store.train(i); });
 
   // LRU over prepared samples: plans/batches roughly double the
   // materialised sample, so price entries at 2x the store's estimator
@@ -301,9 +296,7 @@ std::vector<double> GnnPredictor::train(dataset::ShardStore& store, const EpochC
       return it->second.p;
     }
     const std::shared_ptr<const Sample> s = store.train(eligible[k]);
-    auto p = prepare_sample(store.normalizer(), *s, s);
-    if (!p)
-      throw std::logic_error("GnnPredictor::train: sample lost its in-range targets mid-run");
+    auto p = prepare_sample(store.normalizer(), s);
     const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
     cache_bytes += bytes;
     (*cache)[k] = Pin{p, bytes, tick};
@@ -713,24 +706,23 @@ EvalResult GnnPredictor::evaluate(const SuiteDataset& ds,
 
 CircuitPrediction GnnPredictor::evaluate_circuit(const dataset::FeatureNormalizer& norm,
                                                  const Sample& s) const {
-  const auto& types = dataset::target_node_types(config_.target);
   const gnn::GraphPlan plan = gnn::GraphPlan::build(s.graph, needs_homo());
-  const GraphBatch batch = make_batch(norm, s, &plan);
+  const std::vector<float> pred =
+      head_predictions(s.graph, embedding_->embed(make_batch(norm, s.graph, &plan)));
+  const auto& types = dataset::target_node_types(config_.target);
   CircuitPrediction cp;
   cp.name = s.name;
-  gnn::TypeTensors emb = embedding_->embed(batch);
+  std::size_t first = 0;  // the slot's first position in `pred`
   for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const Tensor& z = emb[static_cast<std::size_t>(types[slot])];
-    if (!z.defined()) continue;
-    const Tensor pred = head_->forward(z);
     const auto& raw = s.target_values(config_.target, slot);
     for (std::size_t i = 0; i < raw.size(); ++i) {
       if (!scaler_.in_range(raw[i])) continue;
       cp.truth.push_back(raw[i]);
-      cp.pred.push_back(scaler_.inverse(pred.value()(i, 0)));
+      cp.pred.push_back(pred[first + i]);
       cp.type_slot.push_back(static_cast<std::int32_t>(slot));
       cp.node_index.push_back(static_cast<std::int32_t>(i));
     }
+    first += s.graph.num_nodes(types[slot]);
   }
   return cp;
 }
@@ -750,24 +742,16 @@ EvalResult GnnPredictor::evaluate(dataset::ShardStore& store, bool test_split) c
   return result;
 }
 
-std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds,
-                                             const Sample& sample) const {
-  const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  return predict_all(ds, sample, plan);
-}
-
-std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sample& sample,
-                                             const gnn::GraphPlan& plan) const {
-  PARAGRAPH_TIMED_SCOPE("predict");
-  const auto& types = dataset::target_node_types(config_.target);
-  const GraphBatch batch = make_batch(ds.normalizer, sample, &plan);
-  gnn::TypeTensors emb = embedding_->embed(batch);
+std::vector<float> GnnPredictor::head_predictions(const graph::HeteroGraph& g,
+                                                  const gnn::TypeTensors& emb) const {
   std::vector<float> out;
-  for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const Tensor& z = emb[static_cast<std::size_t>(types[slot])];
+  for (const NodeType type : dataset::target_node_types(config_.target)) {
+    const Tensor& z = emb[static_cast<std::size_t>(type)];
     if (!z.defined()) {
-      // Keep positional alignment with target_values by emitting zeros.
-      out.resize(out.size() + sample.target_values(config_.target, slot).size(), 0.0f);
+      // No embedding for the type: one zero per node keeps every later
+      // slot at its position. Sized from the graph, not from truth
+      // vectors, which served and CLI samples do not carry.
+      out.resize(out.size() + g.num_nodes(type), 0.0f);
       continue;
     }
     const Tensor pred = head_->forward(z);
@@ -777,50 +761,42 @@ std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sampl
   return out;
 }
 
+std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds,
+                                             const Sample& sample) const {
+  const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
+  return predict_all(ds, sample, plan);
+}
+
+std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sample& sample,
+                                             const gnn::GraphPlan& plan) const {
+  PARAGRAPH_TIMED_SCOPE("predict");
+  return head_predictions(sample.graph,
+                          embedding_->embed(make_batch(ds.normalizer, sample.graph, &plan)));
+}
+
 std::vector<float> GnnPredictor::predict_all(const SuiteDataset& ds, const Sample& sample,
                                              gnn::PlanCache& cache) const {
   PARAGRAPH_TIMED_SCOPE("predict");
-  std::array<nn::Matrix, graph::kNumNodeTypes> z;
-  const auto embed_fn = [&](const graph::HeteroGraph& g,
-                            const gnn::GraphPlan& plan) -> gnn::TypeTensors {
-    GraphBatch b;
-    b.graph = &g;
-    b.plan = &plan;
-    for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-      const auto nt = static_cast<NodeType>(t);
-      if (g.num_nodes(nt) == 0) continue;
-      b.features[t] = Tensor(ds.normalizer.apply(g, nt));
-    }
-    return embedding_->embed(b);
+  const auto embed_fn = [&](const graph::HeteroGraph& g, const gnn::GraphPlan& plan) {
+    return embedding_->embed(make_batch(ds.normalizer, g, &plan));
   };
   // Memoized embeddings depend on the weights AND the normalisation the
   // batch builder applies, so both feed the cache key.
   const std::uint64_t key = model_key_ ^ (ds.normalizer.fingerprint() * 0x9e3779b97f4a7c15ULL);
+  std::array<nn::Matrix, graph::kNumNodeTypes> z;
   if (!cache.embed_hierarchical(sample.netlist, sample.graph, config_.num_layers, needs_homo(),
                                 key, embed_fn, &z))
     return predict_all(ds, sample);
-
-  const auto& types = dataset::target_node_types(config_.target);
-  std::vector<float> out;
-  for (std::size_t slot = 0; slot < types.size(); ++slot) {
-    const nn::Matrix& m = z[static_cast<std::size_t>(types[slot])];
-    if (m.rows() == 0) {
-      // Keep positional alignment with target_values by emitting zeros.
-      out.resize(out.size() + sample.target_values(config_.target, slot).size(), 0.0f);
-      continue;
-    }
-    const Tensor pred = head_->forward(Tensor(m));
-    for (std::size_t i = 0; i < pred.rows(); ++i)
-      out.push_back(scaler_.inverse(pred.value()(i, 0)));
-  }
-  return out;
+  gnn::TypeTensors emb;
+  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t)
+    if (z[t].rows() != 0) emb[t] = Tensor(std::move(z[t]));
+  return head_predictions(sample.graph, emb);
 }
 
 nn::Matrix GnnPredictor::embeddings(const SuiteDataset& ds, const Sample& sample,
                                     NodeType type) const {
   const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  const GraphBatch batch = make_batch(ds.normalizer, sample, &plan);
-  gnn::TypeTensors emb = embedding_->embed(batch);
+  const gnn::TypeTensors emb = embedding_->embed(make_batch(ds.normalizer, sample.graph, &plan));
   const Tensor& z = emb[static_cast<std::size_t>(type)];
   if (!z.defined()) return Matrix();
   return z.value();
@@ -829,7 +805,7 @@ nn::Matrix GnnPredictor::embeddings(const SuiteDataset& ds, const Sample& sample
 gnn::AttentionRecord GnnPredictor::attention_analysis(const SuiteDataset& ds,
                                                       const Sample& sample) const {
   const gnn::GraphPlan plan = gnn::GraphPlan::build(sample.graph, needs_homo());
-  GraphBatch batch = make_batch(ds.normalizer, sample, &plan);
+  GraphBatch batch = make_batch(ds.normalizer, sample.graph, &plan);
   gnn::AttentionRecord record;
   batch.attention_out = &record;
   embedding_->embed(batch);

@@ -72,6 +72,11 @@ struct PredictorConfig {
 // Device parameters: z-score fit on the training pool.
 class TargetScaler {
  public:
+  // The per-target policy every trainer applies: for_cap(max_v_ff) for
+  // CAP, fit_log_zscore for RES, fit_zscore for every other target.
+  // `pooled` holds the training targets (unused for CAP).
+  static TargetScaler fit(dataset::TargetKind target, double max_v_ff,
+                          const std::vector<float>& pooled);
   static TargetScaler for_cap(double max_v_ff);
   static TargetScaler fit_zscore(const std::vector<float>& train_values);
   // z-score in log10 space; used for the wide-range RES extension target.
@@ -176,10 +181,11 @@ class GnnPredictor {
   // Out-of-core training: samples stream from `store` through its
   // LRU-bounded working set instead of residing wholly in memory (the
   // prepared plans/batches are bounded by the same byte budget).
-  // Bit-identical to the in-memory overload on the same dataset —
-  // per-sample preparation is deterministic, the shuffle stream depends
-  // only on the eligible-sample count, and the streamed drift sketches
-  // reproduce eval::sketch_graphs exactly (eval::SketchBuilder).
+  // Bit-identical to the in-memory overload on the same dataset: both
+  // run one pre-epoch fit (drift sketches, target scaler, eligible
+  // samples) over the training samples in order, per-sample preparation
+  // is deterministic, and the shuffle stream depends only on the
+  // eligible-sample count.
   std::vector<double> train(dataset::ShardStore& store, const EpochCallback& on_epoch = nullptr,
                             const TrainOptions& options = {});
 
@@ -232,8 +238,8 @@ class GnnPredictor {
   void set_scaler(const TargetScaler& s) { scaler_ = s; }
 
   // Training-set feature-distribution sketches (drift reference). Filled
-  // by train(), persisted by core/serialize as format v5; empty for models
-  // loaded from pre-v5 files.
+  // by train() and persisted by core/serialize (model format v5); empty
+  // for an untrained model.
   const std::vector<obs::FeatureSketch>& feature_sketches() const { return sketches_; }
   void set_feature_sketches(std::vector<obs::FeatureSketch> s) { sketches_ = std::move(s); }
 
@@ -244,8 +250,8 @@ class GnnPredictor {
 
  private:
   // One sample staged for training: plan, normalised batch, per-slot
-  // in-range indices and scaled targets (defined in predictor.cpp). The
-  // streamed path additionally owns the Sample backing the batch.
+  // in-range indices and scaled targets, plus the Sample backing the batch
+  // (owned on the streamed path). Defined in predictor.cpp.
   struct Prepared;
   // Indexable source of prepared samples. The in-memory path serves a
   // prebuilt vector; the streamed path materialises through an LRU so the
@@ -256,13 +262,21 @@ class GnnPredictor {
   };
   std::vector<double> train_impl(const PreparedSource& src, const EpochCallback& on_epoch,
                                  const TrainOptions& options);
-  // nullptr when no target of the sample is in the scaler's range (the
-  // sample contributes nothing to training).
+  // Training sample i of n; in-memory training hands out non-owning
+  // aliases, streamed training the store's materialised samples.
+  using SampleAt = std::function<std::shared_ptr<const dataset::Sample>(std::size_t)>;
+  // The pre-epoch fit both train() overloads share: drift sketches and
+  // target scaler from the n samples behind `at`. Returns the indices of
+  // the samples with any in-range target, in order.
+  std::vector<std::size_t> fit_training_set(std::size_t n, const SampleAt& at);
+  // Throws std::logic_error when no target of the sample is in the
+  // scaler's range (fit_training_set filters those samples out).
   std::shared_ptr<const Prepared> prepare_sample(const dataset::FeatureNormalizer& norm,
-                                                 const dataset::Sample& s,
-                                                 std::shared_ptr<const dataset::Sample> owned) const;
-  gnn::GraphBatch make_batch(const dataset::FeatureNormalizer& norm,
-                             const dataset::Sample& sample, const gnn::GraphPlan* plan) const;
+                                                 std::shared_ptr<const dataset::Sample> s) const;
+  // The one inference tail: the FC head over each target type slot's
+  // embeddings, inverse-scaled, concatenated in (slot, node) order.
+  std::vector<float> head_predictions(const graph::HeteroGraph& g,
+                                      const gnn::TypeTensors& emb) const;
   CircuitPrediction evaluate_circuit(const dataset::FeatureNormalizer& norm,
                                      const dataset::Sample& s) const;
 

@@ -15,7 +15,8 @@ namespace paragraph::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50477230;  // "PGr0"
-// Version history:
+// Version history (this build reads version 5 only; any other version is
+// rejected as CorruptArtifactError):
 //   1: initial format
 //   2: adds PredictorConfig::scale after the seed (the dataset-generation
 //      scale used at training time, so predict/evaluate rebuild the same
@@ -127,20 +128,17 @@ GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& con
   if (header.pod<std::uint32_t>("magic") != kMagic)
     header.corrupt("not a ParaGraph model file (bad magic)");
   const auto version = header.pod<std::uint32_t>("version");
-  if (version < 1 || version > kVersion)
-    header.corrupt("unsupported format version " + std::to_string(version) + " (this build reads 1.." +
+  if (version != kVersion)
+    header.corrupt("unsupported format version " + std::to_string(version) + " (this build reads " +
                    std::to_string(kVersion) + ")");
 
-  // v4 carries a trailing checksum over everything before it; verify it
-  // first so every later parse error means "malformed", not "bit rot".
-  std::string_view payload = bytes;
-  if (version >= 4) {
-    if (bytes.size() < sizeof(std::uint64_t)) header.corrupt("truncated before checksum");
-    payload = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + payload.size(), sizeof(stored));
-    if (stored != util::fnv1a64(payload)) header.corrupt("payload checksum mismatch");
-  }
+  // A trailing checksum covers everything before it; verify it first so
+  // every later parse error means "malformed", not "bit rot".
+  if (bytes.size() < sizeof(std::uint64_t)) header.corrupt("truncated before checksum");
+  const std::string_view payload = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + payload.size(), sizeof(stored));
+  if (stored != util::fnv1a64(payload)) header.corrupt("payload checksum mismatch");
 
   util::ByteReader r(payload, context);
   r.pod<std::uint32_t>("magic");
@@ -167,17 +165,11 @@ GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& con
   c.lr_final_fraction = static_cast<float>(
       finite_or_corrupt(r.pod<float>("lr_final_fraction"), r, "lr_final_fraction"));
   c.seed = r.pod<std::uint64_t>("seed");
-  // Version 1 predates the scale field; keep the PredictorConfig default
-  // (which matches the CLI's historical --scale default).
-  if (version >= 2) c.scale = finite_or_corrupt(r.pod<double>("scale"), r, "scale");
-  // Version 2 predates the parallel runtime; defaults (batch 1, threads
-  // unrecorded) reproduce the serial training schedule those models used.
-  if (version >= 3) {
-    c.batch_size = static_cast<std::size_t>(
-        r.bounded(r.pod<std::uint64_t>("batch_size"), 1, kMaxBatch, "batch_size"));
-    c.train_threads = static_cast<std::size_t>(
-        r.bounded(r.pod<std::uint64_t>("train_threads"), 0, kMaxThreads, "train_threads"));
-  }
+  c.scale = finite_or_corrupt(r.pod<double>("scale"), r, "scale");
+  c.batch_size = static_cast<std::size_t>(
+      r.bounded(r.pod<std::uint64_t>("batch_size"), 1, kMaxBatch, "batch_size"));
+  c.train_threads = static_cast<std::size_t>(
+      r.bounded(r.pod<std::uint64_t>("train_threads"), 0, kMaxThreads, "train_threads"));
 
   TargetScaler::State s;
   s.zscore = r.pod<bool>("scaler.zscore");
@@ -209,37 +201,32 @@ GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& con
     const std::string_view data = r.bytes(m.size() * sizeof(float), "parameter data");
     std::memcpy(m.data(), data.data(), data.size());
   }
-  // v5 sketch block: the drift reference the model was trained against.
-  // Earlier formats simply have no sketches (drift checks are skipped).
-  if (version >= 5) {
-    const auto num_sketches = r.bounded(r.pod<std::uint64_t>("sketch count"), 0, kMaxSketches,
-                                        "sketch count");
-    std::vector<obs::FeatureSketch> sketches;
-    sketches.reserve(static_cast<std::size_t>(num_sketches));
-    for (std::uint64_t i = 0; i < num_sketches; ++i) {
-      obs::FeatureSketch::State st;
-      const auto name_len = r.bounded(r.pod<std::uint64_t>("sketch name length"), 0,
-                                      kMaxSketchName, "sketch name length");
-      st.name = std::string(r.bytes(static_cast<std::size_t>(name_len), "sketch name"));
-      st.count = r.pod<std::uint64_t>("sketch count field");
-      st.mean = finite_or_corrupt(r.pod<double>("sketch mean"), r, "sketch mean");
-      st.m2 = finite_or_corrupt(r.pod<double>("sketch m2"), r, "sketch m2");
-      st.lo = finite_or_corrupt(r.pod<double>("sketch lo"), r, "sketch lo");
-      st.hi = finite_or_corrupt(r.pod<double>("sketch hi"), r, "sketch hi");
-      st.underflow = r.pod<std::uint64_t>("sketch underflow");
-      st.overflow = r.pod<std::uint64_t>("sketch overflow");
-      const auto nbins = r.bounded(r.pod<std::uint64_t>("sketch bin count"), 0, kMaxSketchBins,
-                                   "sketch bin count");
-      st.bins.resize(static_cast<std::size_t>(nbins));
-      for (auto& b : st.bins) b = r.pod<std::uint64_t>("sketch bin");
-      sketches.push_back(obs::FeatureSketch::from_state(std::move(st)));
-    }
-    predictor.set_feature_sketches(std::move(sketches));
+  // Sketch block: the drift reference the model was trained against.
+  const auto num_sketches =
+      r.bounded(r.pod<std::uint64_t>("sketch count"), 0, kMaxSketches, "sketch count");
+  std::vector<obs::FeatureSketch> sketches;
+  sketches.reserve(static_cast<std::size_t>(num_sketches));
+  for (std::uint64_t i = 0; i < num_sketches; ++i) {
+    obs::FeatureSketch::State st;
+    const auto name_len = r.bounded(r.pod<std::uint64_t>("sketch name length"), 0,
+                                    kMaxSketchName, "sketch name length");
+    st.name = std::string(r.bytes(static_cast<std::size_t>(name_len), "sketch name"));
+    st.count = r.pod<std::uint64_t>("sketch count field");
+    st.mean = finite_or_corrupt(r.pod<double>("sketch mean"), r, "sketch mean");
+    st.m2 = finite_or_corrupt(r.pod<double>("sketch m2"), r, "sketch m2");
+    st.lo = finite_or_corrupt(r.pod<double>("sketch lo"), r, "sketch lo");
+    st.hi = finite_or_corrupt(r.pod<double>("sketch hi"), r, "sketch hi");
+    st.underflow = r.pod<std::uint64_t>("sketch underflow");
+    st.overflow = r.pod<std::uint64_t>("sketch overflow");
+    const auto nbins = r.bounded(r.pod<std::uint64_t>("sketch bin count"), 0, kMaxSketchBins,
+                                 "sketch bin count");
+    st.bins.resize(static_cast<std::size_t>(nbins));
+    for (auto& b : st.bins) b = r.pod<std::uint64_t>("sketch bin");
+    sketches.push_back(obs::FeatureSketch::from_state(std::move(st)));
   }
-  // v1-v3 files may carry trailing bytes (historical tools appended
-  // nothing, but the loader never policed it); from v4 on the checksum
-  // covers the exact payload, so leftovers mean corruption.
-  if (version >= 4 && r.remaining() != 0)
+  predictor.set_feature_sketches(std::move(sketches));
+  // The checksum covers the exact payload, so leftovers mean corruption.
+  if (r.remaining() != 0)
     r.corrupt(std::to_string(r.remaining()) + " trailing bytes after parameter data");
   return predictor;
 }

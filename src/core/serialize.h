@@ -22,10 +22,10 @@ void save_predictor(const GnnPredictor& predictor, const std::string& path);
 
 // Reconstructs the architecture from the stored config and restores the
 // trained weights and scaler. Every read is length-checked, dims/counts
-// are bounded against sane maxima, and (format >= 4) the trailing payload
-// checksum is verified; corrupt files raise util::CorruptArtifactError,
-// unreadable ones util::IoError. Formats 1-5 load (pre-v5 files simply
-// carry no drift-reference sketches).
+// are bounded against sane maxima, and the trailing payload checksum is
+// verified; corrupt files raise util::CorruptArtifactError, unreadable
+// ones util::IoError. Only format 5 loads; files of any other version
+// raise util::CorruptArtifactError naming it.
 GnnPredictor load_predictor(const std::string& path);
 
 // In-memory forms of the same format; the checkpoint writer embeds the

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 namespace paragraph::gnn {
 
@@ -101,32 +100,6 @@ TypeTensors InputTransform::forward(const GraphBatch& batch) const {
     const Tensor& f = batch.features[t];
     if (!f.defined() || f.rows() == 0) continue;
     out[t] = per_type_[t]->forward(f);
-  }
-  return out;
-}
-
-Tensor flatten_types(const TypeTensors& typed, const HomoView& homo, std::size_t embed_dim) {
-  std::vector<Tensor> blocks;
-  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-    if (typed[t].defined()) {
-      if (typed[t].rows() != homo.type_count[t])
-        throw std::logic_error("flatten_types: row count mismatch for node type");
-      blocks.push_back(typed[t]);
-    } else if (homo.type_count[t] != 0) {
-      // Types with nodes but no features should not happen; guard anyway.
-      blocks.push_back(Tensor(nn::Matrix(homo.type_count[t], embed_dim, 0.0f)));
-    }
-  }
-  return nn::concat_rows(blocks);
-}
-
-TypeTensors split_types(const Tensor& global, const HomoView& homo) {
-  TypeTensors out;
-  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-    if (homo.type_count[t] == 0) continue;
-    std::vector<std::int32_t> idx(homo.type_count[t]);
-    std::iota(idx.begin(), idx.end(), static_cast<std::int32_t>(homo.type_offset[t]));
-    out[t] = nn::gather_rows(global, idx);
   }
   return out;
 }

@@ -96,12 +96,6 @@ class InputTransform : public nn::Module {
   std::vector<std::unique_ptr<nn::Linear>> per_type_;
 };
 
-// Concatenates per-type embeddings into the global (HomoView) row order.
-nn::Tensor flatten_types(const TypeTensors& typed, const HomoView& homo, std::size_t embed_dim);
-
-// Slices a global embedding matrix back into per-type blocks.
-TypeTensors split_types(const nn::Tensor& global, const HomoView& homo);
-
 // Per-node bitmask over edge_type_registry() indices: bit e is set when
 // node i of `type` is an endpoint of at least one edge of type e. Used by
 // the quality report to bucket prediction error by edge-type context

@@ -88,9 +88,11 @@ class GraphPlan {
   std::shared_ptr<const HomoPlan> homo_;
 };
 
-// Plan-based variants of gnn::flatten_types / split_types: identical
-// semantics, but row slicing reuses the plan's shared index buffers.
+// Concatenates per-type embeddings into the global (homogenised) row
+// order.
 nn::Tensor flatten_types(const TypeTensors& typed, const HomoPlan& homo, std::size_t embed_dim);
+// Slices a global embedding matrix back into per-type blocks, reusing the
+// plan's shared row-index buffers.
 TypeTensors split_types(const nn::Tensor& global, const HomoPlan& homo);
 
 }  // namespace paragraph::gnn

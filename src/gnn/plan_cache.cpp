@@ -203,23 +203,12 @@ PlanCache::Entry* PlanCache::find_or_build(const Netlist& nl, const HeteroGraph&
 
 const PlanCache::Embed& PlanCache::embed_for(Entry& entry, std::uint64_t model_key,
                                              const EmbedFn& embed) {
-  for (auto& em : entry.embeds) {
-    if (em.key == model_key) {
-      em.tick = ++tick_;
-      return em;
-    }
-  }
+  for (const auto& em : entry.embeds)
+    if (em.key == model_key) return em;
   static obs::Counter& misses = obs::MetricsRegistry::instance().counter("plancache.misses");
   misses.add(1);
-  if (entry.embeds.size() >= config_.max_embed_variants) {
-    auto victim = std::min_element(entry.embeds.begin(), entry.embeds.end(),
-                                   [](const Embed& a, const Embed& b) { return a.tick < b.tick; });
-    bytes_ -= victim->bytes;
-    entry.embeds.erase(victim);
-  }
   Embed em;
   em.key = model_key;
-  em.tick = ++tick_;
   const TypeTensors z = embed(entry.rep.graph, entry.plan);
   for (std::size_t t = 0; t < kNumNodeTypes; ++t) {
     if (!z[t].defined()) continue;

@@ -7,7 +7,13 @@
 //
 //   * a representative induced subgraph (the instance subtree plus its
 //     boundary net nodes) and its GraphPlan, and
-//   * per model version, the representative's embedding matrix.
+//   * per model key, the representative's embedding matrix.
+//
+// Every model that shares the cache keeps its own embedding per template,
+// with no eviction: an ensemble plus extra single-target models all hit on
+// repeat requests. The owner calls clear() once a set of models retires
+// (the serve worker does so when the model generation changes), since a
+// retired model's keys never hit again.
 //
 // The hierarchical embed then runs the model only on a *reduced* graph —
 // the full graph minus every cached instance's deep interior — and stitches
@@ -59,9 +65,6 @@ struct PlanCacheConfig {
   // Instances with fewer subtree devices are never cached (overhead would
   // beat the reuse win).
   std::size_t min_subtree_devices = 16;
-  // Embedding variants retained per template (distinct model versions, e.g.
-  // the members of an ensemble); least recently used is evicted.
-  std::size_t max_embed_variants = 4;
 };
 
 class PlanCache {
@@ -90,7 +93,6 @@ class PlanCache {
  private:
   struct Embed {
     std::uint64_t key = 0;
-    std::uint64_t tick = 0;  // LRU stamp
     std::array<nn::Matrix, graph::kNumNodeTypes> z;
     std::size_t bytes = 0;
   };
@@ -121,7 +123,6 @@ class PlanCache {
   PlanCacheConfig config_;
   std::map<std::uint64_t, std::unique_ptr<Entry>> entries_;
   std::size_t bytes_ = 0;
-  std::uint64_t tick_ = 0;
 };
 
 }  // namespace paragraph::gnn

@@ -87,7 +87,6 @@ class HeteroGraph {
   const nn::Matrix& features(NodeType t) const {
     return features_[static_cast<std::size_t>(t)];
   }
-  nn::Matrix& mutable_features(NodeType t) { return features_[static_cast<std::size_t>(t)]; }
 
   // Maps a local node index back to the netlist object: NetId for kNet,
   // DeviceId otherwise.

@@ -78,11 +78,6 @@ void Logger::close_jsonl() {
   impl_->jsonl.close();
 }
 
-bool Logger::jsonl_open() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->jsonl.is_open();
-}
-
 namespace {
 
 std::int64_t wall_clock_ms() {

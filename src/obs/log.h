@@ -43,7 +43,6 @@ class Logger {
   // JSONL sink; returns false when the file cannot be opened.
   bool open_jsonl(const std::string& path);
   void close_jsonl();
-  bool jsonl_open() const;
 
   void log(LogLevel lvl, std::string_view component, std::string_view message,
            std::initializer_list<LogField> fields = {});

@@ -24,7 +24,6 @@
 #include "util/bytes.h"
 #include "util/errors.h"
 #include "util/faultinject.h"
-#include "util/strings.h"
 
 namespace paragraph::serve {
 
@@ -77,14 +76,6 @@ std::string resolve_request_id(const obs::JsonValue& req) {
   const obs::JsonValue* rid = req.find("request_id");
   if (rid != nullptr && rid->is_string() && !rid->as_string().empty()) return rid->as_string();
   return next_request_id();
-}
-
-// Hierarchical decks take the PlanCache path; SPICE cards are case-insensitive.
-bool has_subckt_card(std::string_view deck) {
-  constexpr std::string_view kCard = ".subckt";
-  for (std::size_t p = deck.find('.'); p != std::string_view::npos; p = deck.find('.', p + 1))
-    if (util::iequals(deck.substr(p, kCard.size()), kCard)) return true;
-  return false;
 }
 
 double us_between(std::chrono::steady_clock::time_point from,
@@ -850,6 +841,12 @@ void Server::process_batch(std::vector<Job> batch) {
   if (util::fault::should_fail("serve.crash")) std::abort();
   const auto bundle = registry_.current();  // one generation per batch
   const auto popped_at = std::chrono::steady_clock::now();
+  // Memoized embeddings are keyed by model, and a retired generation's
+  // models never ask again.
+  if (bundle->generation != plan_cache_generation_) {
+    plan_cache_.clear();
+    plan_cache_generation_ = bundle->generation;
+  }
 
   // Shed dead work first: a job whose deadline passed while it was queued
   // gets its typed deadline_exceeded answer before any parse/plan/predict
@@ -908,6 +905,7 @@ void Server::process_batch(std::vector<Job> batch) {
     bool ok = false;
     ErrorCode error_code = ErrorCode::kInternal;
     std::string error_message;
+    bool hierarchical = false;  // parsed netlist has subckt instances
     obs::JsonValue predictions;
     // Shared phase costs: every coalesced job reports the group's work.
     double parse_us = 0.0;
@@ -930,11 +928,12 @@ void Server::process_batch(std::vector<Job> batch) {
     groups.back().job_indices.push_back(j);
   }
 
-  // One prediction pass per distinct deck. Hierarchical decks run
-  // serially so the worker-owned PlanCache (not thread-safe) memoizes
-  // their templates across requests; the rest share one parallel pass,
-  // each deck on its own plan (the PR 3 batched-inference layout).
-  const auto predict_group = [&](Group& g, bool allow_cache) {
+  // One prediction pass per distinct deck. Every deck parses in one
+  // parallel pass, and the flat ones predict right there, each on its own
+  // plan. Decks whose parsed netlist has subckt instances then predict
+  // serially, so the worker-owned PlanCache (not thread-safe) memoizes
+  // their templates across requests.
+  const auto parse_group = [&](Group& g) {
     const auto parse_start = std::chrono::steady_clock::now();
     try {
       circuit::Netlist nl = circuit::parse_spice_string(g.job->netlist_text);
@@ -946,21 +945,24 @@ void Server::process_batch(std::vector<Job> batch) {
       g.error_code = ErrorCode::kParseError;
       g.error_message = e.what();
       g.parse_us = us_between(parse_start, std::chrono::steady_clock::now());
-      return;
+      return false;
     }
     span(g.job->request_id, "parse", g.parse_us);
+    g.hierarchical = !g.sample.netlist.instances().empty();
+    return true;
+  };
+  const auto predict_group = [&](Group& g) {
     const auto predict_start = std::chrono::steady_clock::now();
     try {
       // Fault site serve.predict: a typed internal error after a clean
       // parse, for the telemetry/error-path tests.
       if (util::fault::should_fail("serve.predict"))
         throw util::IoError("injected fault at serve.predict");
-      const bool hier = allow_cache && !g.sample.netlist.instances().empty();
       obs::JsonValue preds = obs::JsonValue::object();
       if (bundle->ensemble.has_value()) {
         const auto& ds = bundle->ensemble_dataset();
         std::vector<float> p;
-        if (hier) {
+        if (g.hierarchical) {
           // Plan construction happens inside the cache-aware predict, so
           // it stays folded into predict_us on this path.
           p = bundle->ensemble->predict_with_cache(ds, g.sample, plan_cache_);
@@ -977,8 +979,9 @@ void Server::process_batch(std::vector<Job> batch) {
       for (std::size_t m = 0; m < bundle->models.size(); ++m) {
         const core::GnnPredictor& model = bundle->models[m];
         const auto& ds = bundle->model_dataset(m);
-        const std::vector<float> p = hier ? model.predict_all(ds, g.sample, plan_cache_)
-                                          : model.predict_all(ds, g.sample);
+        const std::vector<float> p = g.hierarchical
+                                         ? model.predict_all(ds, g.sample, plan_cache_)
+                                         : model.predict_all(ds, g.sample);
         preds.set(dataset::target_name(model.config().target),
                   named_predictions(g.sample, model.config().target, p));
       }
@@ -994,13 +997,12 @@ void Server::process_batch(std::vector<Job> batch) {
     span(g.job->request_id, "predict", g.predict_us);
   };
 
-  std::vector<std::size_t> flat, hier;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi)
-    (has_subckt_card(groups[gi].job->netlist_text) ? hier : flat).push_back(gi);
-  runtime::parallel_for("serve_predict", flat.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) predict_group(groups[flat[i]], false);
+  runtime::parallel_for("serve_predict", groups.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t gi = lo; gi < hi; ++gi)
+      if (parse_group(groups[gi]) && !groups[gi].hierarchical) predict_group(groups[gi]);
   });
-  for (const std::size_t gi : hier) predict_group(groups[gi], true);
+  for (Group& g : groups)
+    if (g.hierarchical) predict_group(g);
 
   // Answer every job from its group's shared result, in batch (service)
   // order, with per-request latency accounted up to the hand-off to the

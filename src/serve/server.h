@@ -15,19 +15,22 @@
 // Micro-batching: the worker drains up to max_batch queued jobs at once.
 // Within a batch, jobs carrying byte-identical netlists are coalesced
 // into one group — parsed once, planned once, predicted once — and every
-// job gets its own response from the shared result. Distinct flat decks
-// are processed through one runtime::parallel_for pass (one GraphPlan
-// per deck shared across the ensemble members, the PR 3 batched-inference
-// idiom); hierarchical decks run serially through the worker's PlanCache
-// so repeated subckt templates hit memoized plans and embeddings across
-// requests. Responses are bit-identical to single-request serving: every
-// group's computation is independent and the per-sample kernels are
-// deterministic at any thread count.
+// job gets its own response from the shared result. Every distinct deck
+// parses in one runtime::parallel_for pass, where decks without subckt
+// instances also predict (one GraphPlan per deck shared across the
+// ensemble members); decks whose parsed netlist has instances then run
+// serially through the worker's PlanCache, so repeated subckt templates
+// hit memoized plans and embeddings across requests. Responses are
+// bit-identical to single-request serving: every group's computation is
+// independent and the per-sample kernels are deterministic at any thread
+// count.
 //
 // Reload: SIGHUP (via notify_fd) or the "reload" admin command swaps the
 // model generation through ModelRegistry. The worker snapshots the
 // bundle once per batch, so in-flight batches always finish on the model
 // they started with; a failed reload keeps the old generation serving.
+// The first batch of a new generation clears the PlanCache, whose
+// embeddings are keyed by the retired models.
 //
 // Shutdown: SIGTERM/SIGINT (via notify_fd) or the "shutdown" admin
 // command close the listeners, queued requests drain through the worker,
@@ -203,6 +206,7 @@ class Server {
   RecentRequests recent_;
   SloTracker slo_;
   gnn::PlanCache plan_cache_;  // worker-thread only
+  std::uint64_t plan_cache_generation_ = 0;  // worker-thread only
 
   int unix_fd_ = -1;
   int tcp_fd_ = -1;

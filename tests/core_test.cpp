@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <string>
 
+#include "circuit/spice_parser.h"
 #include "core/ensemble.h"
 #include "core/learners.h"
 #include "core/predictor.h"
+#include "gnn/plan_cache.h"
+#include "graph/hetero_graph.h"
 
 namespace paragraph::core {
 namespace {
@@ -11,6 +15,26 @@ namespace {
 dataset::SuiteDataset& tiny_dataset() {
   static dataset::SuiteDataset ds = dataset::build_dataset(21, 0.05);
   return ds;
+}
+
+// A sample as `paragraph predict` and the serve daemon build it: graph and
+// netlist only, no truth vectors.
+dataset::Sample untargeted_sample(const std::string& deck) {
+  dataset::Sample s;
+  s.netlist = circuit::parse_spice_string(deck);
+  s.name = s.netlist.name();
+  s.graph = graph::build_graph(s.netlist);
+  return s;
+}
+
+// Position of (type_slot, node_index) in predict_all's (slot, node) order.
+std::size_t predict_all_position(const dataset::Sample& s, dataset::TargetKind target,
+                                 std::int32_t slot, std::int32_t node) {
+  const auto& types = dataset::target_node_types(target);
+  std::size_t pos = static_cast<std::size_t>(node);
+  for (std::int32_t k = 0; k < slot; ++k)
+    pos += s.graph.num_nodes(types[static_cast<std::size_t>(k)]);
+  return pos;
 }
 
 TEST(TargetScaler, CapScalesByMaxV) {
@@ -147,6 +171,88 @@ TEST(GnnPredictor, TrainingIsDeterministicInSeed) {
   const auto b = run();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
+}
+
+TEST(GnnPredictor, EvaluateMatchesPredictAllBitForBit) {
+  // evaluate() keeps the in-range subset of the very vector predict_all()
+  // returns; every kept prediction must sit at its (slot, node) position.
+  const auto& ds = tiny_dataset();
+  for (const auto target : {dataset::TargetKind::kCap, dataset::TargetKind::kSourceArea}) {
+    PredictorConfig pc;
+    pc.target = target;
+    pc.max_v_ff = 10.0;  // CAP: some nets fall outside the range
+    pc.epochs = 3;
+    pc.num_layers = 2;
+    pc.embed_dim = 8;
+    GnnPredictor p(pc);
+    p.train(ds);
+    std::size_t checked = 0, later_slots = 0;
+    for (const auto* samples : {&ds.train, &ds.test}) {
+      const EvalResult res = p.evaluate(ds, *samples);
+      ASSERT_EQ(res.circuits.size(), samples->size());
+      for (std::size_t c = 0; c < samples->size(); ++c) {
+        const dataset::Sample& s = (*samples)[c];
+        const CircuitPrediction& cp = res.circuits[c];
+        const std::vector<float> all = p.predict_all(ds, s);
+        ASSERT_EQ(cp.pred.size(), cp.type_slot.size());
+        ASSERT_EQ(cp.pred.size(), cp.node_index.size());
+        for (std::size_t k = 0; k < cp.pred.size(); ++k) {
+          const std::size_t pos =
+              predict_all_position(s, target, cp.type_slot[k], cp.node_index[k]);
+          ASSERT_LT(pos, all.size());
+          EXPECT_EQ(cp.pred[k], all[pos]) << dataset::target_name(target) << " " << s.name;
+          ++checked;
+          if (cp.type_slot[k] > 0) ++later_slots;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u) << dataset::target_name(target);
+    if (target == dataset::TargetKind::kSourceArea) {
+      EXPECT_GT(later_slots, 0u) << "no thick-oxide transistor was checked";
+    }
+  }
+}
+
+TEST(GnnPredictor, DeviceTargetPredictsDecksWithoutThickDevices) {
+  // SA spans thin and thick-oxide transistors. A deck with thin ones only
+  // has no thick embedding, and its sample carries no truth vectors: the
+  // prediction still holds one value per thin transistor.
+  PredictorConfig pc;
+  pc.target = dataset::TargetKind::kSourceArea;
+  pc.epochs = 2;
+  pc.num_layers = 2;
+  pc.embed_dim = 8;
+  GnnPredictor p(pc);
+  p.train(tiny_dataset());
+
+  const dataset::Sample inv = untargeted_sample(
+      "* one inverter\nMn out in vss vss nmos L=16n W=32n\n"
+      "Mp out in vdd vdd pmos L=16n W=64n\nC1 out vss 1f\n");
+  ASSERT_EQ(inv.graph.num_nodes(graph::NodeType::kTransistorThick), 0u);
+  const std::vector<float> flat = p.predict_all(tiny_dataset(), inv);
+  EXPECT_EQ(flat.size(), inv.graph.num_nodes(graph::NodeType::kTransistor));
+
+  // The same through the PlanCache, on a hierarchical thin-only deck: a
+  // 16-transistor chain template instantiated six times.
+  std::string deck = "* thin-only chains\n.subckt chain n0 n8\n";
+  for (int i = 1; i <= 8; ++i) {
+    const std::string in = "n" + std::to_string(i - 1), out = "n" + std::to_string(i);
+    deck += "Mn" + std::to_string(i) + " " + out + " " + in + " vss vss nmos L=16n W=32n\n";
+    deck += "Mp" + std::to_string(i) + " " + out + " " + in + " vdd vdd pmos L=16n W=64n\n";
+  }
+  deck += ".ends\n";
+  for (int k = 0; k < 6; ++k)
+    deck += "X" + std::to_string(k) + " s" + std::to_string(k) + " s" + std::to_string(k + 1) +
+            " chain\n";
+  const dataset::Sample hier = untargeted_sample(deck + "C1 s6 vss 1f\n");
+  ASSERT_EQ(hier.graph.num_nodes(graph::NodeType::kTransistorThick), 0u);
+  const std::vector<float> plain = p.predict_all(tiny_dataset(), hier);
+  ASSERT_EQ(plain.size(), hier.graph.num_nodes(graph::NodeType::kTransistor));
+  gnn::PlanCache cache;
+  const std::vector<float> cached = p.predict_all(tiny_dataset(), hier, cache);
+  ASSERT_GT(cache.num_entries(), 0u) << "hierarchy was not cached";
+  ASSERT_EQ(cached.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) EXPECT_EQ(cached[i], plain[i]) << "node " << i;
 }
 
 TEST(CapEnsemble, ValidatesConfig) {

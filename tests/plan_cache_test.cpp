@@ -127,6 +127,32 @@ TEST_F(PlanCacheTest, CountersAccountForStructuralAndEmbeddingReuse) {
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
+TEST_F(PlanCacheTest, FiveModelsSharingOneCacheAllHitOnRepeat) {
+  // The serve worker shares one cache across every ensemble member and
+  // every extra model; a four-member ensemble plus one more model is five
+  // embeddings per template, and none may push another out.
+  const dataset::SuiteDataset ds = make_hier_dataset();
+  const dataset::Sample& sample = ds.train.front();
+  std::vector<core::GnnPredictor> models;
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    core::PredictorConfig cfg = small_config(gnn::ModelKind::kParaGraph);
+    cfg.seed = 11 + k;
+    models.emplace_back(cfg);
+  }
+  gnn::PlanCache cache(gnn::PlanCacheConfig{.min_subtree_devices = 4});
+  for (const auto& m : models) m.predict_all(ds, sample, cache);
+
+  const double misses0 = counter("plancache.misses");
+  for (const auto& m : models) {
+    const std::vector<float> plain = m.predict_all(ds, sample);
+    const std::vector<float> cached = m.predict_all(ds, sample, cache);
+    ASSERT_EQ(cached.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) ASSERT_EQ(plain[i], cached[i]);
+  }
+  EXPECT_EQ(counter("plancache.misses") - misses0, 0.0)
+      << "a repeat round recomputed template embeddings";
+}
+
 TEST_F(PlanCacheTest, ModelRetrainRetiresMemoizedEmbeddings) {
   dataset::SuiteDataset ds = make_hier_dataset();
   const dataset::Sample& sample = ds.train.front();

@@ -1,10 +1,9 @@
 // Corrupt-artifact matrix for the model-file and checkpoint formats:
-// truncation at every boundary, bit flips anywhere in a v4/v5 file,
-// flipped magic/version, oversized dims on checksum-less (v3) files,
-// hostile fields inside the v5 sketch block (reached by restamping the
-// checksum), version compatibility for the sketch block, and round-trip
-// integrity. Every rejection must be the typed error the API documents —
-// never a crash, hang, or silent misload.
+// truncation at every boundary, bit flips anywhere in a v5 file, flipped
+// magic/version, rejection of older format versions, oversized dims and
+// hostile fields inside the sketch block (reached by restamping the
+// checksum), and round-trip integrity. Every rejection must be the typed
+// error the API documents — never a crash, hang, or silent misload.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,15 +41,6 @@ std::string tiny_model_bytes() {
   return predictor_to_bytes(p);
 }
 
-// Strips the v4 checksum and stamps an older version so corruption of
-// individual fields reaches the bounded readers instead of the checksum.
-std::string as_version3(std::string bytes) {
-  bytes.resize(bytes.size() - sizeof(std::uint64_t));
-  const std::uint32_t v3 = 3;
-  std::memcpy(bytes.data() + kOffVersion, &v3, sizeof(v3));
-  return bytes;
-}
-
 template <typename T>
 void patch(std::string& bytes, std::size_t off, T value) {
   ASSERT_LE(off + sizeof(T), bytes.size());
@@ -78,9 +68,9 @@ std::string sketch_model_bytes() {
   return predictor_to_bytes(p);
 }
 
-// Recomputes the v4/v5 trailing checksum after a test mutated the
-// payload, so hostile field values reach the bounded sketch readers
-// instead of tripping the checksum first.
+// Recomputes the trailing checksum after a test mutated the payload, so
+// hostile field values reach the bounded readers instead of tripping the
+// checksum first.
 std::string restamp_checksum(std::string bytes) {
   bytes.resize(bytes.size() - sizeof(std::uint64_t));
   const std::uint64_t sum = util::fnv1a64(bytes);
@@ -144,52 +134,67 @@ TEST(SerializeRobustness, BadMagicAndFutureVersionAreTyped) {
 }
 
 TEST(SerializeRobustness, OversizedDimsAreBoundedBeforeAllocation) {
-  // On v3 files (no checksum) a hostile dim reaches the bounded readers;
-  // they must reject it before any allocation sized by the field.
-  const std::string v3 = as_version3(tiny_model_bytes());
+  // With the checksum restamped, a hostile dim reaches the bounded
+  // readers; they must reject it before any allocation sized by the field.
+  const std::string v5 = tiny_model_bytes();
   {
-    std::string bad = v3;
+    std::string bad = v5;
     patch<std::uint64_t>(bad, kOffEmbedDim, std::uint64_t{1} << 40);
-    EXPECT_THROW(predictor_from_bytes(bad, "embed"), util::CorruptArtifactError);
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(bad), "embed"),
+                 util::CorruptArtifactError);
   }
   {
-    std::string bad = v3;
+    std::string bad = v5;
     patch<std::uint64_t>(bad, kOffParamCount, std::uint64_t{1} << 40);
-    EXPECT_THROW(predictor_from_bytes(bad, "count"), util::CorruptArtifactError);
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(bad), "count"),
+                 util::CorruptArtifactError);
   }
   {
-    std::string bad = v3;
+    std::string bad = v5;
     patch<std::uint64_t>(bad, kOffFirstRows, std::uint64_t{1} << 40);
-    EXPECT_THROW(predictor_from_bytes(bad, "rows"), util::CorruptArtifactError);
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(bad), "rows"),
+                 util::CorruptArtifactError);
   }
 }
 
 TEST(SerializeRobustness, NonFiniteAndInvalidScalerStateRejected) {
-  const std::string v3 = as_version3(tiny_model_bytes());
+  const std::string v5 = tiny_model_bytes();
   {
-    std::string bad = v3;
+    std::string bad = v5;
     patch<double>(bad, 40, std::numeric_limits<double>::quiet_NaN());  // max_v_ff
-    EXPECT_THROW(predictor_from_bytes(bad, "nan"), util::CorruptArtifactError);
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(bad), "nan"), util::CorruptArtifactError);
   }
   {
     // z-score scaler with stdev 0 would divide by zero on every inverse.
-    std::string bad = v3;
+    std::string bad = v5;
     patch<bool>(bad, kOffScalerZscore, true);
     patch<double>(bad, kOffScalerStdev, 0.0);
-    EXPECT_THROW(predictor_from_bytes(bad, "stdev"), util::CorruptArtifactError);
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(bad), "stdev"),
+                 util::CorruptArtifactError);
   }
 }
 
-TEST(SerializeRobustness, V4RejectsTrailingBytesV3Tolerates) {
-  std::string v4 = tiny_model_bytes();
-  v4.append("junk");
-  EXPECT_THROW(predictor_from_bytes(v4, "trailing"), util::CorruptArtifactError);
-  // v1-v3 files historically carried no length policing; they must keep
-  // loading (the version-compat tests rewrite current files in place and
-  // rely on this).
-  std::string v3 = as_version3(tiny_model_bytes());
-  v3.append("junk");
-  EXPECT_NO_THROW(predictor_from_bytes(v3, "v3 trailing"));
+TEST(SerializeRobustness, RejectsTrailingBytes) {
+  std::string v5 = tiny_model_bytes();
+  v5.append("junk");
+  EXPECT_THROW(predictor_from_bytes(v5, "trailing"), util::CorruptArtifactError);
+}
+
+TEST(SerializeRobustness, V4FilesAreRejected) {
+  // A v4 file is the v5 layout minus the sketch block: drop the empty
+  // sketch count (8 bytes before the checksum), stamp version 4, restamp.
+  // Only format 5 loads, and the error names the version it found.
+  std::string bytes = tiny_model_bytes();
+  bytes.erase(bytes.size() - 2 * sizeof(std::uint64_t), sizeof(std::uint64_t));
+  patch<std::uint32_t>(bytes, kOffVersion, 4);
+  bytes = restamp_checksum(bytes);
+  try {
+    predictor_from_bytes(bytes, "v4 file");
+    ADD_FAILURE() << "a v4 model file loaded";
+  } catch (const util::CorruptArtifactError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 4"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SerializeRobustness, V5SketchBlockRoundTrips) {
@@ -211,23 +216,6 @@ TEST(SerializeRobustness, V5SketchBlockRoundTrips) {
   }
   // Byte-exact re-serialisation, sketches included.
   EXPECT_EQ(predictor_to_bytes(loaded), bytes);
-}
-
-TEST(SerializeRobustness, V4FilesWithoutSketchBlockStillLoad) {
-  // A v4 file is the v5 layout minus the sketch block: drop the empty
-  // sketch count (8 bytes before the checksum), stamp version 4, restamp.
-  std::string bytes = tiny_model_bytes();
-  bytes.erase(bytes.size() - 2 * sizeof(std::uint64_t), sizeof(std::uint64_t));
-  patch<std::uint32_t>(bytes, kOffVersion, 4);
-  bytes = restamp_checksum(bytes);
-  const GnnPredictor loaded = predictor_from_bytes(bytes, "v4 compat");
-  EXPECT_TRUE(loaded.feature_sketches().empty());
-}
-
-TEST(SerializeRobustness, PreV5FilesCarryNoSketches) {
-  const GnnPredictor loaded =
-      predictor_from_bytes(as_version3(tiny_model_bytes()), "v3 compat");
-  EXPECT_TRUE(loaded.feature_sketches().empty());
 }
 
 TEST(SerializeRobustness, TruncationInsideSketchBlockIsTyped) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "core/serialize.h"
@@ -87,81 +86,6 @@ TEST_F(SerializeTest, BatchAndThreadMetadataRoundTrip) {
   const GnnPredictor loaded = load_predictor(path_);
   EXPECT_EQ(loaded.config().batch_size, 3u);
   EXPECT_EQ(loaded.config().train_threads, 4u);
-}
-
-TEST_F(SerializeTest, ReadsVersion1FilesWithDefaultScale) {
-  const auto ds = dataset::build_dataset(81, 0.05);
-  PredictorConfig pc;
-  pc.target = dataset::TargetKind::kCap;
-  pc.scale = 0.05;
-  pc.epochs = 2;
-  pc.num_layers = 1;
-  pc.embed_dim = 4;
-  GnnPredictor trained(pc);
-  trained.train(ds);
-  const auto before = trained.predict_all(ds, ds.test[0]);
-  save_predictor(trained, path_);
-
-  // Rewrite the v3 file as a v1 file: the version word sits at byte
-  // offset 4; the scale double occupies [72, 80) and the batch_size /
-  // train_threads uint64 pair [80, 96) — between the seed and the scaler
-  // state (see serialize.cpp field order).
-  std::ifstream in(path_, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GE(data.size(), 96u);
-  const std::uint32_t v1 = 1;
-  std::memcpy(data.data() + 4, &v1, sizeof(v1));
-  data.erase(72, sizeof(double) + 2 * sizeof(std::uint64_t));
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.close();
-
-  const GnnPredictor loaded = load_predictor(path_);
-  // v1 predates the scale field; the loader keeps the historical default.
-  EXPECT_DOUBLE_EQ(loaded.config().scale, 0.25);
-  const auto after = loaded.predict_all(ds, ds.test[0]);
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t i = 0; i < before.size(); ++i) EXPECT_FLOAT_EQ(before[i], after[i]);
-}
-
-TEST_F(SerializeTest, ReadsVersion2FilesWithSerialScheduleDefaults) {
-  const auto ds = dataset::build_dataset(83, 0.05);
-  PredictorConfig pc;
-  pc.target = dataset::TargetKind::kCap;
-  pc.scale = 0.05;
-  pc.epochs = 2;
-  pc.num_layers = 1;
-  pc.embed_dim = 4;
-  pc.batch_size = 4;
-  pc.train_threads = 2;
-  GnnPredictor trained(pc);
-  trained.train(ds);
-  const auto before = trained.predict_all(ds, ds.test[0]);
-  save_predictor(trained, path_);
-
-  // Rewrite the v3 file as a v2 file: drop the batch_size / train_threads
-  // pair at [80, 96) and stamp version 2.
-  std::ifstream in(path_, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GE(data.size(), 96u);
-  const std::uint32_t v2 = 2;
-  std::memcpy(data.data() + 4, &v2, sizeof(v2));
-  data.erase(80, 2 * sizeof(std::uint64_t));
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.close();
-
-  const GnnPredictor loaded = load_predictor(path_);
-  // v2 predates the parallel runtime; the defaults reproduce the serial
-  // training schedule those models used.
-  EXPECT_DOUBLE_EQ(loaded.config().scale, 0.05);
-  EXPECT_EQ(loaded.config().batch_size, 1u);
-  EXPECT_EQ(loaded.config().train_threads, 0u);
-  const auto after = loaded.predict_all(ds, ds.test[0]);
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t i = 0; i < before.size(); ++i) EXPECT_FLOAT_EQ(before[i], after[i]);
 }
 
 TEST_F(SerializeTest, RejectsUnsupportedVersion) {

@@ -19,6 +19,7 @@
 
 #include "circuit/spice_writer.h"
 #include "core/ensemble.h"
+#include "core/serialize.h"
 #include "dataset/dataset.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -530,6 +531,68 @@ TEST(Serve, SubcktCardOfAnyCaseTakesThePlanCachePath) {
   ASSERT_TRUE(mixed.at("ok").as_bool()) << mixed.dump();
   EXPECT_GT(hits.value(), hits_before) << "a .Subckt deck must take the PlanCache path";
   EXPECT_EQ(predictions_of(mixed), predictions_of(lower));
+  server.stop();
+}
+
+TEST(Serve, ReloadClearsThePlanCache) {
+  // Template embeddings are keyed by model, and a retired generation's
+  // models never ask again: the first batch of a new generation drops
+  // the PlanCache instead of letting it grow with every reload.
+  std::string deck = ".subckt ring a z\n";  // 16 devices, instantiated 8 times
+  for (int i = 1; i <= 8; ++i) {
+    const std::string in = i == 1 ? "a" : util::format("r%d", i - 1);
+    const std::string out = i == 8 ? "z" : util::format("r%d", i);
+    deck += util::format("Mn%d %s %s vss vss nmos L=16n W=32n\n", i, out.c_str(), in.c_str());
+    deck += util::format("Mp%d %s %s vdd vdd pmos L=16n W=64n\n", i, out.c_str(), in.c_str());
+  }
+  deck += ".ends\n";
+  for (int k = 0; k < 8; ++k) deck += util::format("X%d t%d t%d ring\n", k, k, k + 1);
+  deck += "C1 t8 vss 1f\n";
+
+  ServeConfig cfg = base_config("plancache_reload", artifacts().ensemble_a);
+  Server server(cfg);
+  server.start();
+  ServeClient client = ServeClient::connect_unix(cfg.socket_path);
+  const obs::Gauge& bytes = obs::MetricsRegistry::instance().gauge("plancache.bytes");
+  ASSERT_TRUE(client.predict(deck).at("ok").as_bool());
+  EXPECT_GT(bytes.value(), 0.0) << "the hierarchical deck was not cached";
+  ASSERT_TRUE(client.admin("reload").at("ok").as_bool());
+  ASSERT_TRUE(client.predict(test_decks().front()).at("ok").as_bool());  // flat
+  EXPECT_EQ(bytes.value(), 0.0) << "the retired generation's embeddings stayed cached";
+  server.stop();
+}
+
+TEST(Serve, DeviceModelAnswersDecksWithoutThickDevices) {
+  // SA spans thin and thick-oxide transistors. A deck with thin ones only
+  // must answer the ensemble's CAP and the SA model's values together.
+  core::PredictorConfig pc;
+  pc.target = dataset::TargetKind::kSourceArea;
+  pc.epochs = 2;
+  pc.num_layers = 2;
+  pc.embed_dim = 8;
+  pc.seed = 21;  // tiny_dataset's normaliser, shared with the ensemble
+  pc.scale = 0.05;
+  core::GnnPredictor sa(pc);
+  sa.train(tiny_dataset());
+  const std::string sa_path = artifacts().dir + "/sa_thin_only.bin";
+  core::save_predictor(sa, sa_path);
+
+  ServeConfig cfg = base_config("sa_thin_only", artifacts().ensemble_a);
+  cfg.registry.model_paths = {sa_path};
+  Server server(cfg);
+  server.start();
+  ServeClient client = ServeClient::connect_unix(cfg.socket_path);
+  const obs::JsonValue resp = client.predict(
+      "* one inverter\nMn out in vss vss nmos L=16n W=32n\n"
+      "Mp out in vdd vdd pmos L=16n W=64n\nC1 out vss 1f\n");
+  ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+  const obs::JsonValue& preds = resp.at("predictions");
+  const obs::JsonValue* cap = preds.find("CAP");
+  ASSERT_NE(cap, nullptr) << resp.dump();
+  EXPECT_GT(cap->items().size(), 0u);
+  const obs::JsonValue* sa_preds = preds.find("SA");
+  ASSERT_NE(sa_preds, nullptr) << resp.dump();
+  EXPECT_EQ(sa_preds->items().size(), 2u) << "one SA value per thin transistor";
   server.stop();
 }
 

@@ -16,6 +16,7 @@
 #include "core/predictor.h"
 #include "dataset/dataset.h"
 #include "dataset/shards.h"
+#include "eval/drift.h"
 #include "obs/metrics.h"
 #include "util/errors.h"
 
@@ -207,6 +208,19 @@ void expect_streamed_matches_in_memory(const core::PredictorConfig& cfg,
     ASSERT_EQ(sk_mem[i].lo(), sk_str[i].lo());
     ASSERT_EQ(sk_mem[i].hi(), sk_str[i].hi());
     ASSERT_EQ(sk_mem[i].bins(), sk_str[i].bins());
+  }
+  // Both overloads build their sketches the same streaming way, so pin
+  // them to the reference over the materialised training set too.
+  const std::vector<obs::FeatureSketch> reference = eval::sketch_graphs(ds.train);
+  ASSERT_EQ(reference.size(), sk_str.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(reference[i].name(), sk_str[i].name());
+    ASSERT_EQ(reference[i].count(), sk_str[i].count());
+    ASSERT_EQ(reference[i].mean(), sk_str[i].mean());
+    ASSERT_EQ(reference[i].m2(), sk_str[i].m2());
+    ASSERT_EQ(reference[i].lo(), sk_str[i].lo());
+    ASSERT_EQ(reference[i].hi(), sk_str[i].hi());
+    ASSERT_EQ(reference[i].bins(), sk_str[i].bins());
   }
 
   const core::EvalResult ev_mem = in_memory.evaluate(ds, ds.test);
