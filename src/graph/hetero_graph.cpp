@@ -229,54 +229,6 @@ void fill_device_features(const Device& d, float* row) {
 
 }  // namespace
 
-MergedGraph merge_graphs(const std::vector<const HeteroGraph*>& graphs) {
-  if (graphs.empty()) throw std::invalid_argument("merge_graphs: empty input");
-  MergedGraph out;
-  out.offsets.resize(graphs.size());
-
-  // Nodes: concatenate per type, tracking each circuit's base offset.
-  for (std::size_t t = 0; t < kNumNodeTypes; ++t) {
-    const auto nt = static_cast<NodeType>(t);
-    std::size_t total = 0;
-    for (std::size_t k = 0; k < graphs.size(); ++k) {
-      out.offsets[k][t] = static_cast<std::int32_t>(total);
-      total += graphs[k]->num_nodes(nt);
-    }
-    std::vector<std::int32_t> origin;
-    origin.reserve(total);
-    nn::Matrix feats(total, feature_dim(nt), 0.0f);
-    std::size_t row = 0;
-    for (const HeteroGraph* g : graphs) {
-      const auto& o = g->origins(nt);
-      origin.insert(origin.end(), o.begin(), o.end());
-      const nn::Matrix& f = g->features(nt);
-      for (std::size_t r = 0; r < f.rows(); ++r, ++row)
-        for (std::size_t c = 0; c < f.cols(); ++c) feats(row, c) = f(r, c);
-    }
-    out.graph.set_nodes(nt, std::move(origin), std::move(feats));
-  }
-
-  // Edges: shift each circuit's local indices by its type offsets.
-  const std::size_t num_types = edge_type_registry().size();
-  std::vector<std::vector<std::int32_t>> srcs(num_types);
-  std::vector<std::vector<std::int32_t>> dsts(num_types);
-  for (std::size_t k = 0; k < graphs.size(); ++k) {
-    for (const TypedEdges& te : graphs[k]->edges()) {
-      const auto& info = edge_type_registry()[te.type_index];
-      const auto so = out.offsets[k][static_cast<std::size_t>(info.src_type)];
-      const auto dofs = out.offsets[k][static_cast<std::size_t>(info.dst_type)];
-      for (std::size_t e = 0; e < te.num_edges(); ++e) {
-        srcs[te.type_index].push_back(te.src[e] + so);
-        dsts[te.type_index].push_back(te.dst[e] + dofs);
-      }
-    }
-  }
-  for (std::size_t e = 0; e < num_types; ++e)
-    out.graph.add_edges(e, std::move(srcs[e]), std::move(dsts[e]));
-  out.graph.validate();
-  return out;
-}
-
 HeteroGraph build_graph(const Netlist& nl) {
   HeteroGraph g;
 

@@ -120,15 +120,4 @@ class HeteroGraph {
 // Transistor bulk terminals are never mapped (they are supply-tied).
 HeteroGraph build_graph(const circuit::Netlist& nl);
 
-// Merges several circuit graphs into one disjoint-union graph (DGL-style
-// batching): per node type, nodes are concatenated in input order, so one
-// forward pass covers every circuit. `offsets[k][t]` gives circuit k's
-// starting local index for node type t in the merged graph. Note that
-// origin() values of the merged graph refer to each circuit's own netlist.
-struct MergedGraph {
-  HeteroGraph graph;
-  std::vector<std::array<std::int32_t, kNumNodeTypes>> offsets;
-};
-MergedGraph merge_graphs(const std::vector<const HeteroGraph*>& graphs);
-
 }  // namespace paragraph::graph

@@ -12,14 +12,6 @@ Matrix xavier_uniform(std::size_t rows, std::size_t cols, util::Rng& rng) {
   return m;
 }
 
-Matrix kaiming_normal(std::size_t rows, std::size_t cols, util::Rng& rng) {
-  const double s = std::sqrt(2.0 / static_cast<double>(rows));
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < m.size(); ++i)
-    m.data()[i] = static_cast<float>(rng.normal(0.0, s));
-  return m;
-}
-
 Matrix zeros(std::size_t rows, std::size_t cols) { return Matrix(rows, cols, 0.0f); }
 
 }  // namespace paragraph::nn

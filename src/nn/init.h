@@ -9,9 +9,6 @@ namespace paragraph::nn {
 // Glorot/Xavier uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
 Matrix xavier_uniform(std::size_t rows, std::size_t cols, util::Rng& rng);
 
-// Kaiming/He normal for ReLU-family activations: N(0, sqrt(2 / fan_in)).
-Matrix kaiming_normal(std::size_t rows, std::size_t cols, util::Rng& rng);
-
 Matrix zeros(std::size_t rows, std::size_t cols);
 
 }  // namespace paragraph::nn

@@ -229,39 +229,6 @@ Tensor leaky_relu(const Tensor& a, float negative_slope) {
   });
 }
 
-Tensor sigmoid(const Tensor& a) {
-  Matrix out = a.value();
-  par_elements(out.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      out.data()[i] = 1.0f / (1.0f + std::exp(-out.data()[i]));
-  });
-  Matrix y = out;  // backward needs the output value
-  return Tensor::from_op(std::move(out), {a}, [a, y = std::move(y)](const Matrix& g) {
-    Matrix ga = g;
-    par_elements(ga.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i)
-        ga.data()[i] *= y.data()[i] * (1.0f - y.data()[i]);
-    });
-    a.accumulate_grad(ga);
-  });
-}
-
-Tensor tanh_op(const Tensor& a) {
-  Matrix out = a.value();
-  par_elements(out.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) out.data()[i] = std::tanh(out.data()[i]);
-  });
-  Matrix y = out;
-  return Tensor::from_op(std::move(out), {a}, [a, y = std::move(y)](const Matrix& g) {
-    Matrix ga = g;
-    par_elements(ga.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i)
-        ga.data()[i] *= 1.0f - y.data()[i] * y.data()[i];
-    });
-    a.accumulate_grad(ga);
-  });
-}
-
 Tensor row_l2_normalize(const Tensor& a, float eps) {
   const Matrix& x = a.value();
   std::vector<float> norms(x.rows());
@@ -351,28 +318,6 @@ Tensor mse_loss(const Tensor& pred, const Matrix& target) {
     par_elements(n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i)
         gp.data()[i] = c * (pred.value().data()[i] - target.data()[i]);
-    });
-    pred.accumulate_grad(gp);
-  });
-}
-
-Tensor l1_loss(const Tensor& pred, const Matrix& target) {
-  if (!pred.value().same_shape(target)) throw std::invalid_argument("l1_loss: shape mismatch");
-  const std::size_t n = pred.value().size();
-  if (n == 0) throw std::invalid_argument("l1_loss: empty prediction");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    acc += std::abs(pred.value().data()[i] - target.data()[i]);
-  Matrix out(1, 1, std::vector<float>{static_cast<float>(acc / static_cast<double>(n))});
-  return Tensor::from_op(std::move(out), {pred}, [pred, target, n](const Matrix& g) {
-    const float go = g(0, 0);
-    Matrix gp(pred.rows(), pred.cols());
-    const float c = go / static_cast<float>(n);
-    par_elements(n, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const float d = pred.value().data()[i] - target.data()[i];
-        gp.data()[i] = d > 0.0f ? c : (d < 0.0f ? -c : 0.0f);
-      }
     });
     pred.accumulate_grad(gp);
   });

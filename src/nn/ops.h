@@ -27,8 +27,6 @@ Tensor concat_rows(const std::vector<Tensor>& ts);
 
 Tensor relu(const Tensor& a);
 Tensor leaky_relu(const Tensor& a, float negative_slope = 0.2f);
-Tensor sigmoid(const Tensor& a);
-Tensor tanh_op(const Tensor& a);
 
 // Each row scaled to unit L2 norm (GraphSage's final normalisation).
 // Rows with norm < eps pass through unscaled.
@@ -42,7 +40,5 @@ Tensor sum_tensors(const std::vector<Tensor>& ts);
 
 // Mean squared error against a constant target; returns a 1x1 tensor.
 Tensor mse_loss(const Tensor& pred, const Matrix& target);
-// Mean absolute error (L1) against a constant target; returns 1x1.
-Tensor l1_loss(const Tensor& pred, const Matrix& target);
 
 }  // namespace paragraph::nn

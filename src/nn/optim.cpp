@@ -6,27 +6,6 @@
 
 namespace paragraph::nn {
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) velocity_.emplace_back(p.value().rows(), p.value().cols(), 0.0f);
-}
-
-void Sgd::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    auto& p = params_[k];
-    const Matrix& g = p.grad();
-    Matrix& vel = velocity_[k];
-    float* w = p.mutable_value().data();
-    const float* gd = g.data();
-    float* vd = vel.data();
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      vd[i] = momentum_ * vd[i] - lr_ * gd[i];
-      w[i] += vd[i];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2, float eps)
     : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   m_.reserve(params_.size());

@@ -27,18 +27,6 @@ class Optimizer {
   std::vector<Tensor> params_;
 };
 
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void step() override;
-  void set_learning_rate(float lr) override { lr_ = lr; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Matrix> velocity_;
-};
-
 // ADAM (Kingma & Ba). The paper trains with Adam(lr = 0.01).
 class Adam final : public Optimizer {
  public:

@@ -31,7 +31,10 @@ void Histogram::record(double v) {
   }
   ++count_;
   sum_ += v;
-  if (samples_.size() < kMaxSamples) samples_.push_back(v);
+  if (samples_.size() < kMaxSamples)
+    samples_.push_back(v);
+  else
+    samples_[(count_ - 1) % kMaxSamples] = v;  // overwrite the oldest
 }
 
 HistogramSummary Histogram::summary() const {

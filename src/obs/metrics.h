@@ -51,8 +51,9 @@ struct HistogramSummary {
   std::size_t count = 0;
   double min = 0.0, max = 0.0, mean = 0.0, sum = 0.0;
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;
-  // True when the per-sample buffer hit its cap; count/sum/min/max remain
-  // exact, percentiles cover the retained prefix.
+  // True once the histogram has seen more samples than its buffer holds;
+  // count/sum/min/max remain exact, percentiles cover the most recent
+  // samples (the buffer is a ring that overwrites the oldest).
   bool samples_capped = false;
 
   // {"count": n, "min": ..., "p50": ..., "p99": ...}; adds
@@ -71,7 +72,7 @@ class Histogram {
  private:
   static constexpr std::size_t kMaxSamples = 1 << 20;
   mutable std::mutex mu_;
-  std::vector<double> samples_;
+  std::vector<double> samples_;  // ring of the last kMaxSamples values
   std::size_t count_ = 0;
   double sum_ = 0.0, min_ = 0.0, max_ = 0.0;
 };

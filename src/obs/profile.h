@@ -1,12 +1,11 @@
-// RAII scoped timers feeding a hierarchical wall-time profiler.
+// RAII scoped timers over the metrics registry's phase histograms.
 //
 // A ScopedTimer pushes its name onto a thread-local phase path
-// ("train/epoch/forward/..."); on destruction it aggregates the scope's
-// wall time into the Profiler under that path, records it into the
-// metrics histogram "time/<path>" (giving p50/p95/p99 per phase), and —
-// when tracing is on — appends a Chrome trace event. The constructor
-// checks obs::enabled() once; a disabled timer records nothing and costs
-// one relaxed atomic load.
+// ("train/epoch/forward/..."); on destruction it records the scope's wall
+// time into the metrics histogram "time/<path>" (count, sum, min, max and
+// p50/p95/p99 per phase) and — when tracing is on — appends a Chrome
+// trace event. The constructor checks obs::enabled() once; a disabled
+// timer records nothing and costs one relaxed atomic load.
 //
 //   void train_epoch() {
 //     PARAGRAPH_TIMED_SCOPE("epoch");
@@ -15,41 +14,23 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "obs/control.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace paragraph::obs {
 
-class Profiler {
- public:
-  struct Node {
-    std::uint64_t count = 0;
-    double total_us = 0.0;
-    double min_us = 0.0;
-    double max_us = 0.0;
-  };
+// Records one phase duration into the "time/<path>" histogram: the one
+// store every timed phase lands in, whether a library scope or a served
+// request's phase ("serve/req/parse").
+void record_phase(const std::string& path, double dur_us);
 
-  static Profiler& instance();
-
-  void record(const std::string& path, double dur_us);
-
-  // {"<path>": {"count": n, "total_ms": t, "mean_us": m, ...}, ...}
-  JsonValue to_json() const;
-  // Human-readable table, deepest phases indented, sorted by path.
-  std::string report() const;
-
-  std::map<std::string, Node> nodes() const;
-  void reset();
-
- private:
-  Profiler() = default;
-  mutable std::mutex mu_;
-  std::map<std::string, Node> nodes_;
-};
+// The phase profile as a view of a snapshot's "time/<path>" histograms:
+// {"<path>": {"count": n, "total_ms": t, "mean_us": m, "min_us": lo,
+//  "max_us": hi}, ...}, sorted by path, phases without samples skipped.
+JsonValue profile_json(const MetricsSnapshot& snap);
 
 class ScopedTimer {
  public:

@@ -101,12 +101,13 @@ void flight_mark(const std::string& rid, const char* what) {
 }
 
 // One per-request phase span: feeds the Chrome trace (named by request
-// id, so a trace view shows each request's lifeline) and the phase
-// profiler. Instrumentation-gated like every other span in the tree —
-// the always-on surfaces are the registry histograms and the ring.
+// id, so a trace view shows each request's lifeline) and the
+// "time/serve/req/<phase>" histogram. Instrumentation-gated like every
+// other span in the tree — the always-on surfaces are the serve.*
+// histograms and the ring.
 void span(const std::string& rid, const char* phase, double dur_us) {
   if (!obs::enabled()) return;
-  obs::Profiler::instance().record(std::string("serve/req/") + phase, dur_us);
+  obs::record_phase(std::string("serve/req/") + phase, dur_us);
   auto& trace = obs::TraceCollector::instance();
   if (trace.enabled())
     trace.add_complete("req " + rid + " " + phase, "serve",

@@ -40,11 +40,16 @@ double geometric_mean(std::span<const double> v, double floor) {
 
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) throw std::invalid_argument("percentile: empty vector");
-  std::sort(v.begin(), v.end());
   const double idx = (p / 100.0) * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(idx));
   const auto hi = static_cast<std::size_t>(std::ceil(idx));
   const double frac = idx - static_cast<double>(lo);
+  // Linear-time selection: v[lo] becomes the lo-th order statistic, and
+  // the smallest value in the partition above it is the hi-th.
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(lo), v.end());
+  if (hi != lo)
+    std::iter_swap(v.begin() + static_cast<std::ptrdiff_t>(hi),
+                   std::min_element(v.begin() + static_cast<std::ptrdiff_t>(hi), v.end()));
   return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 

@@ -167,6 +167,18 @@ TEST(CliSmokeTest, ExitCodeTaxonomy) {
             4);
 }
 
+// --help on a command prints the synopsis and exits 0 without running
+// it: `generate --help` must not write the suite into the working dir.
+TEST(CliSmokeTest, HelpPrintsUsageWithoutRunningTheCommand) {
+  ASSERT_FALSE(g_cli_path.empty());
+  TempDir tmp;
+  const std::string in_tmp = "cd \"" + tmp.path.string() + "\" && \"" + g_cli_path + "\"";
+  EXPECT_EQ(exit_code(in_tmp + " generate --help > help.txt 2>&1"), 0);
+  EXPECT_FALSE(std::filesystem::exists(tmp.path / "suite"));
+  EXPECT_NE(read_file(tmp.path / "help.txt").find("usage: paragraph"), std::string::npos);
+  EXPECT_EQ(exit_code(in_tmp + " --help > /dev/null 2>&1"), 0);
+}
+
 // --checkpoint-every / --resume: an interrupted run (simulated process
 // death via PARAGRAPH_FAULT=train.epoch:N) resumed from its checkpoint
 // must produce a bit-identical model file.

@@ -180,51 +180,6 @@ TEST(HeteroGraphClass, Validation) {
   EXPECT_THROW(g.set_nodes(NodeType::kNet, {0}, nn::Matrix(1, 3, 0.0f)), std::invalid_argument);
 }
 
-TEST(MergeGraphs, DisjointUnionPreservesStructure) {
-  const Netlist nl1 = inverter_netlist();
-  const Netlist nl2 = circuit::parse_spice_string(R"(
-Mn out in mid vss nmos L=16n NFIN=2
-R1 mid out 5k
-)");
-  const HeteroGraph g1 = build_graph(nl1);
-  const HeteroGraph g2 = build_graph(nl2);
-  const MergedGraph merged = merge_graphs({&g1, &g2});
-  EXPECT_EQ(merged.graph.total_nodes(), g1.total_nodes() + g2.total_nodes());
-  EXPECT_EQ(merged.graph.total_edges(), g1.total_edges() + g2.total_edges());
-  EXPECT_NO_THROW(merged.graph.validate());
-  // Circuit 2's net block starts after circuit 1's nets.
-  EXPECT_EQ(merged.offsets[1][static_cast<std::size_t>(NodeType::kNet)],
-            static_cast<std::int32_t>(g1.num_nodes(NodeType::kNet)));
-  // Features carried over at the right offset.
-  const auto off = static_cast<std::size_t>(
-      merged.offsets[1][static_cast<std::size_t>(NodeType::kTransistor)]);
-  EXPECT_FLOAT_EQ(merged.graph.features(NodeType::kTransistor)(off, 0),
-                  g2.features(NodeType::kTransistor)(0, 0));
-}
-
-TEST(MergeGraphs, NoCrossCircuitEdges) {
-  const Netlist nl = inverter_netlist();
-  const HeteroGraph g = build_graph(nl);
-  const MergedGraph merged = merge_graphs({&g, &g});
-  const auto n1_nets = static_cast<std::int32_t>(g.num_nodes(NodeType::kNet));
-  const auto n1_mos = static_cast<std::int32_t>(g.num_nodes(NodeType::kTransistor));
-  for (const auto& te : merged.graph.edges()) {
-    const auto& info = edge_type_registry()[te.type_index];
-    const auto src_split =
-        info.src_type == NodeType::kNet ? n1_nets : n1_mos;
-    const auto dst_split =
-        info.dst_type == NodeType::kNet ? n1_nets : n1_mos;
-    for (std::size_t e = 0; e < te.num_edges(); ++e) {
-      // src and dst are either both in circuit 1's block or both in 2's.
-      EXPECT_EQ(te.src[e] < src_split, te.dst[e] < dst_split);
-    }
-  }
-}
-
-TEST(MergeGraphs, EmptyInputThrows) {
-  EXPECT_THROW(merge_graphs({}), std::invalid_argument);
-}
-
 TEST(NodeTypes, FeatureDims) {
   EXPECT_EQ(feature_dim(NodeType::kNet), 1u);
   EXPECT_EQ(feature_dim(NodeType::kTransistor), 4u);

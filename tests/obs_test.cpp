@@ -42,7 +42,6 @@ class ObsTest : public ::testing::Test {
     paragraph::obs::TraceCollector::instance().set_enabled(false);
     paragraph::obs::TraceCollector::instance().reset();
     paragraph::obs::MetricsRegistry::instance().reset();
-    paragraph::obs::Profiler::instance().reset();
     paragraph::obs::Logger::instance().close_jsonl();
     paragraph::obs::Logger::instance().set_level(paragraph::obs::LogLevel::kInfo);
     paragraph::obs::Logger::instance().set_text_stream(stderr);
@@ -252,7 +251,6 @@ TEST_F(ObsTest, DisabledTimersRecordNothing) {
     PARAGRAPH_TIMED_SCOPE("outer");
     PARAGRAPH_TIMED_SCOPE("inner");
   }
-  EXPECT_TRUE(paragraph::obs::Profiler::instance().nodes().empty());
   EXPECT_EQ(paragraph::obs::MetricsRegistry::instance().histogram("time/outer").count(), 0u);
   EXPECT_EQ(paragraph::obs::TraceCollector::instance().size(), 0u);
 }
@@ -267,12 +265,14 @@ TEST_F(ObsTest, NestedScopesBuildPhasePaths) {
       { PARAGRAPH_TIMED_SCOPE("forward"); }
     }
   }
-  const auto nodes = paragraph::obs::Profiler::instance().nodes();
-  ASSERT_TRUE(nodes.count("train"));
-  ASSERT_TRUE(nodes.count("train/epoch"));
-  ASSERT_TRUE(nodes.count("train/epoch/forward"));
-  EXPECT_EQ(nodes.at("train/epoch/forward").count, 2u);
-  EXPECT_GE(nodes.at("train").total_us, nodes.at("train/epoch").total_us);
+  const JsonValue profile =
+      paragraph::obs::profile_json(paragraph::obs::MetricsRegistry::instance().snapshot());
+  ASSERT_NE(profile.find("train"), nullptr);
+  ASSERT_NE(profile.find("train/epoch"), nullptr);
+  ASSERT_NE(profile.find("train/epoch/forward"), nullptr);
+  EXPECT_EQ(profile.at("train/epoch/forward").at("count").as_int(), 2);
+  EXPECT_GE(profile.at("train").at("total_ms").as_double(),
+            profile.at("train/epoch").at("total_ms").as_double());
   // Phase times land in metrics histograms under a "time/" prefix.
   EXPECT_EQ(
       paragraph::obs::MetricsRegistry::instance().histogram("time/train/epoch/forward").count(),
@@ -349,8 +349,9 @@ TEST_F(ObsTest, HistogramQuantileEdgeCases) {
   EXPECT_DOUBLE_EQ(s1.min, 7.25);
   EXPECT_DOUBLE_EQ(s1.max, 7.25);
 
-  // Saturated: past the sample-prefix cap the count/sum/min/max stay
-  // exact while quantiles freeze on the prefix, flagged samples_capped.
+  // Saturated: past the sample cap the count/sum/min/max stay exact
+  // while quantiles cover the most recent cap samples, flagged
+  // samples_capped.
   auto& sat = reg.histogram("test.q.sat");
   const std::size_t cap = 1u << 20;  // Histogram::kMaxSamples
   for (std::size_t i = 0; i < cap; ++i) sat.record(1.0);
@@ -358,9 +359,24 @@ TEST_F(ObsTest, HistogramQuantileEdgeCases) {
   const auto s2 = sat.summary();
   EXPECT_EQ(s2.count, cap + 1);
   EXPECT_TRUE(s2.samples_capped);
-  EXPECT_DOUBLE_EQ(s2.max, 1000.0);         // tracked outside the prefix
-  EXPECT_DOUBLE_EQ(s2.p99, 1.0);            // quantiles only see the prefix
+  EXPECT_DOUBLE_EQ(s2.max, 1000.0);         // tracked exactly
+  EXPECT_DOUBLE_EQ(s2.p99, 1.0);            // one outlier in cap samples
   EXPECT_DOUBLE_EQ(s2.sum, cap + 1000.0);
+}
+
+// Past the cap the sample buffer is a ring: quantiles cover the most
+// recent cap samples.
+TEST_F(ObsTest, HistogramQuantilesFollowRecentSamples) {
+  auto& h = paragraph::obs::MetricsRegistry::instance().histogram("test.q.ring");
+  const std::size_t cap = 1u << 20;  // Histogram::kMaxSamples
+  for (std::size_t i = 0; i < cap; ++i) h.record(1.0);
+  for (std::size_t i = 0; i < cap; ++i) h.record(1000.0);
+  const auto s = h.summary();
+  EXPECT_EQ(s.count, 2 * cap);
+  EXPECT_TRUE(s.samples_capped);
+  EXPECT_DOUBLE_EQ(s.p50, 1000.0);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.sum, cap * 1001.0);
 }
 
 TEST_F(ObsTest, MetricsSnapshotMatchesToJson) {

@@ -884,6 +884,34 @@ TEST(Serve, RecentRingRecordsPhasesCoalescingAndErrors) {
   server.stop();
 }
 
+// With instrumentation on, a served request's phases land in the one
+// phase store every timed scope uses: the time/serve/req/<phase>
+// histograms, which the --metrics-out profile view reads.
+TEST(Serve, RequestPhasesLandInPhaseHistograms) {
+  ServeConfig cfg = base_config("phases", artifacts().ensemble_a);
+  const std::string deck = test_decks()[0];  // flat: plan is split out
+  const char* const phases[] = {"queue", "parse", "plan", "predict", "serialize"};
+  auto& reg = obs::MetricsRegistry::instance();
+  auto phase_count = [&](const char* phase) {
+    return reg.histogram(std::string("time/serve/req/") + phase).count();
+  };
+  std::vector<std::size_t> before;
+  for (const char* phase : phases) before.push_back(phase_count(phase));
+
+  struct InstrumentationOn {
+    const bool was = obs::enabled();
+    InstrumentationOn() { obs::set_enabled(true); }
+    ~InstrumentationOn() { obs::set_enabled(was); }
+  } on;
+  Server server(cfg);
+  server.start();
+  ServeClient client = ServeClient::connect_unix(cfg.socket_path);
+  ASSERT_TRUE(client.predict(deck).at("ok").as_bool());
+  server.stop();  // joins the worker: the serialize span has landed
+  for (std::size_t i = 0; i < std::size(phases); ++i)
+    EXPECT_EQ(phase_count(phases[i]), before[i] + 1) << phases[i];
+}
+
 TEST(Serve, FlightRecorderMarksRequestLifecycle) {
   obs::FlightRecorder::instance().arm();
   ServeConfig cfg = base_config("flight", artifacts().ensemble_a);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <cstring>
 #include <algorithm>
 
 #include <sstream>
@@ -187,6 +188,26 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(v, 100), 5);
   EXPECT_DOUBLE_EQ(percentile(v, 25), 2);
   EXPECT_THROW(percentile({}, 50), std::invalid_argument);
+}
+
+// Selection must not depend on input order: a random-order draw and its
+// sorted copy give bit-identical quantiles, ties included.
+TEST(Stats, PercentileIgnoresInputOrder) {
+  Rng rng(17);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{1000},
+                              (std::size_t{1} << 20) + 1}) {
+    std::vector<double> v(n);
+    // n draws from n + 1 levels: about a third of the values are ties.
+    for (double& x : v)
+      x = 0.25 * static_cast<double>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 1.0, 25.0, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+      const double a = percentile(v, p);
+      const double b = percentile(sorted, p);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(Stats, Pearson) {

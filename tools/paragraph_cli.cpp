@@ -48,15 +48,14 @@
 //       samples at a time instead of the whole dataset (DESIGN.md §11).
 //   paragraph serve --socket PATH [--tcp PORT] [--ensemble ENS]
 //                   [--models A.bin,B.bin] [--queue-cap N] [--max-batch N]
-//                   [--no-batching] [--slow-ms MS] [--slo-p99-ms MS]
-//                   [--slo-target F] [--recent N] [--io-timeout-ms MS]
-//                   [--max-conns N] [--client-queue-cap N]
-//                   [--auth-token TOK]
+//                   [--slow-ms MS] [--slo-p99-ms MS] [--slo-target F]
+//                   [--recent N] [--io-timeout-ms MS] [--max-conns N]
+//                   [--client-queue-cap N] [--auth-token TOK]
 //       Long-lived inference daemon (DESIGN.md §12): loads the models
 //       once, answers length-prefixed JSON requests on a unix-domain
 //       socket (and loopback TCP with --tcp; port 0 picks one and prints
 //       it). Concurrent requests are micro-batched (up to --max-batch per
-//       pass; --no-batching = 1) through a bounded priority queue of
+//       pass; --max-batch 1 disables it) through a bounded priority queue of
 //       --queue-cap entries; an over-full queue rejects with a typed
 //       `queue_full` error instead of stalling. SIGHUP (or the `reload`
 //       admin command) hot-swaps the model from the same paths: in-flight
@@ -129,6 +128,8 @@
 //                        (default 512). Prepared plans/batches are priced
 //                        into the same budget during training.
 //
+// --help on any command prints the synopsis and exits 0 without running it.
+//
 // Runtime options (every command):
 //   --threads N        parallel runtime thread count (default: the
 //                      PARAGRAPH_THREADS environment variable, then the
@@ -200,11 +201,13 @@ using namespace paragraph;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
+// The synopsis: on stdout with exit 0 for --help, on stderr with the
+// usage exit code otherwise.
+int usage(bool help = false) {
+  std::fprintf(help ? stdout : stderr,
                "usage: paragraph <generate|train|predict|evaluate|report|annotate|dataset|serve|client|top> [options]\n"
-               "run with a command and --help for the option list in the file header\n");
-  return 2;
+               "each command's options are listed in README.md and the header of tools/paragraph_cli.cpp\n");
+  return help ? 0 : 2;
 }
 
 // Drift check shared by predict/evaluate/report: score live input sketches
@@ -298,9 +301,10 @@ void flush_observability(const ObsOutputs& out) {
     runtime::publish_runtime_metrics();
   }
   if (!out.metrics_out.empty()) {
-    // The hierarchical phase profile rides along in the metrics document.
-    obs::JsonValue doc = obs::MetricsRegistry::instance().to_json();
-    doc.set("profile", obs::Profiler::instance().to_json());
+    // The phase profile rides along as a view of the time/ histograms.
+    const auto& registry = obs::MetricsRegistry::instance();
+    obs::JsonValue doc = registry.to_json();
+    doc.set("profile", obs::profile_json(registry.snapshot()));
     if (util::try_write_file_atomic(out.metrics_out, doc.dump() + '\n')) {
       std::printf("wrote metrics to %s\n", out.metrics_out.c_str());
     } else {
@@ -713,7 +717,7 @@ int cmd_serve(const util::ArgParser& args) {
   cfg.registry.ensemble_path = args.get("ensemble");
   cfg.registry.model_paths = split_commas(args.get("models", args.get("model")));
   const long qcap = args.get_int("queue-cap", 64);
-  const long mbatch = args.has("no-batching") ? 1 : args.get_int("max-batch", 8);
+  const long mbatch = args.get_int("max-batch", 8);
   if (qcap <= 0 || mbatch <= 0) {
     std::fprintf(stderr, "serve: --queue-cap and --max-batch must be positive\n");
     return 2;
@@ -1031,6 +1035,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const util::ArgParser args(argc - 1, argv + 1);
+  if (command == "--help" || args.has("help")) return usage(true);
   obs::init_from_env();
   util::fault::init_from_env();
   // Crash context costs nothing on the happy path: a fatal signal or
