@@ -127,10 +127,4 @@ float max_abs_diff(const Matrix& a, const Matrix& b) {
   return m;
 }
 
-float frobenius_norm(const Matrix& a) {
-  float s = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a.data()[i] * a.data()[i];
-  return std::sqrt(s);
-}
-
 }  // namespace paragraph::nn

@@ -120,8 +120,7 @@ void axpy_inplace(Matrix& dst, float alpha, const Matrix& src);
 
 Matrix transpose(const Matrix& a);
 
-// Frobenius-norm helpers used by tests and gradient checking.
+// Largest elementwise |a - b|, used by tests and gradient checking.
 float max_abs_diff(const Matrix& a, const Matrix& b);
-float frobenius_norm(const Matrix& a);
 
 }  // namespace paragraph::nn

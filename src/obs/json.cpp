@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 
 namespace paragraph::obs {
@@ -19,22 +20,70 @@ JsonValue JsonValue::object() {
   return v;
 }
 
+namespace {
+
+using Members = std::vector<std::pair<std::string, JsonValue>>;
+
+// Smaller objects are scanned and carry no index: most documents
+// (requests, log records, histogram summaries) are that small.
+constexpr std::size_t kIndexFrom = 16;
+
+// The slot holding `key`'s position, or the empty slot where it would go.
+// Linear probing over a power-of-two table that is at most half full, so
+// an empty slot always ends the probe.
+std::size_t slot_of(const std::vector<std::uint32_t>& index, const Members& obj,
+                    std::string_view key) {
+  const std::size_t mask = index.size() - 1;
+  for (std::size_t s = std::hash<std::string_view>{}(key) & mask;; s = (s + 1) & mask)
+    if (index[s] == 0 || obj[index[s] - 1].first == key) return s;
+}
+
+// Rebuilds `index` over `obj`, whose keys are distinct, at a load of at
+// most one half. A doubling rebuild keeps `set` amortised O(1).
+void rebuild_index(std::vector<std::uint32_t>& index, const Members& obj) {
+  std::size_t slots = 2 * kIndexFrom;
+  while (slots < 2 * obj.size()) slots *= 2;
+  index.assign(slots, 0);
+  for (std::size_t i = 0; i < obj.size(); ++i)
+    index[slot_of(index, obj, obj[i].first)] = static_cast<std::uint32_t>(i + 1);
+}
+
+}  // namespace
+
 JsonValue& JsonValue::set(std::string key, JsonValue v) {
   if (kind_ != Kind::kObject) throw std::logic_error("JsonValue::set on non-object");
-  for (auto& [k, existing] : obj_) {
-    if (k == key) {
-      existing = std::move(v);
-      return *this;
+  if (index_.empty()) {
+    for (auto& [k, existing] : obj_) {
+      if (k == key) {
+        existing = std::move(v);
+        return *this;
+      }
     }
+    obj_.emplace_back(std::move(key), std::move(v));
+    if (obj_.size() == kIndexFrom) rebuild_index(index_, obj_);
+    return *this;
+  }
+  const std::size_t slot = slot_of(index_, obj_, key);
+  if (index_[slot] != 0) {
+    obj_[index_[slot] - 1].second = std::move(v);
+    return *this;
   }
   obj_.emplace_back(std::move(key), std::move(v));
+  if (2 * obj_.size() > index_.size())
+    rebuild_index(index_, obj_);
+  else
+    index_[slot] = static_cast<std::uint32_t>(obj_.size());
   return *this;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
-  for (const auto& [k, v] : obj_)
-    if (k == key) return &v;
-  return nullptr;
+  if (index_.empty()) {
+    for (const auto& [k, v] : obj_)
+      if (k == key) return &v;
+    return nullptr;
+  }
+  const std::uint32_t pos = index_[slot_of(index_, obj_, key)];
+  return pos == 0 ? nullptr : &obj_[pos - 1].second;
 }
 
 const JsonValue& JsonValue::at(std::string_view key) const {

@@ -4,6 +4,13 @@
 // dumps, Chrome trace files, JSONL log records) and the tests parse them
 // back to guard well-formedness, so both directions live here. Objects
 // preserve insertion order to keep dumps diffable across runs.
+//
+// From 16 members on, an object keeps a hash index of member positions
+// beside them, so `set` and `find` take expected O(1) time and `parse`
+// runs in time linear in its input. A repeated key, through `set` or in
+// parsed text, keeps its first position and takes the last value. The
+// index hashes with std::hash, which is not keyed: keys crafted to
+// collide would make lookups linear again.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +66,8 @@ class JsonValue {
   double as_double() const { return kind_ == Kind::kInt ? static_cast<double>(int_) : double_; }
   const std::string& as_string() const { return str_; }
 
-  // Object access. `set` overwrites an existing key in place.
+  // Object access. `set` overwrites an existing key in place, keeping its
+  // position.
   JsonValue& set(std::string key, JsonValue v);
   const JsonValue* find(std::string_view key) const;  // nullptr when absent
   const JsonValue& at(std::string_view key) const;    // throws std::out_of_range
@@ -89,6 +97,10 @@ class JsonValue {
   std::string str_;
   std::vector<JsonValue> arr_;
   std::vector<std::pair<std::string, JsonValue>> obj_;
+  // Open-addressed index over obj_ (see json.cpp): each slot holds a
+  // member's position + 1, or 0 when empty. Positions, not views, so it
+  // survives obj_ reallocating and the default copy and move stay right.
+  std::vector<std::uint32_t> index_;
 };
 
 // Escapes and quotes `s` as a JSON string literal.

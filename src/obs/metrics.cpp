@@ -143,32 +143,44 @@ void MetricsRegistry::append_record(const std::string& series, JsonValue record)
   series_[series].push_back(std::move(record));
 }
 
-MetricsSnapshot MetricsRegistry::snapshot_locked() const {
+MetricsSnapshot MetricsRegistry::collect(JsonValue* series) const {
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) snap.counters.emplace_back(name, c->value());
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) snap.gauges.emplace_back(name, g->value());
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) snap.histograms.emplace_back(name, h->summary());
+  std::vector<const Histogram*> histograms;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snap.counters.reserve(counters_.size());
+    for (const auto& [name, c] : counters_) snap.counters.emplace_back(name, c->value());
+    snap.gauges.reserve(gauges_.size());
+    for (const auto& [name, g] : gauges_) snap.gauges.emplace_back(name, g->value());
+    snap.histograms.reserve(histograms_.size());
+    histograms.reserve(histograms_.size());
+    for (const auto& [name, h] : histograms_) {
+      snap.histograms.emplace_back(name, HistogramSummary{});
+      histograms.push_back(h.get());
+    }
+    if (series != nullptr) {
+      *series = JsonValue::object();
+      for (const auto& [name, records] : series_) {
+        JsonValue arr = JsonValue::array();
+        for (const JsonValue& r : records) arr.push_back(r);
+        series->set(name, std::move(arr));
+      }
+    }
+  }
+  // Each summary selects quantiles over up to a full sample ring, so the
+  // summaries run after the registry lock is released: instrument lookups
+  // on other threads must not wait for them. The pointers stay valid
+  // because instruments are never freed (reset() zeroes them in place).
+  for (std::size_t i = 0; i < histograms.size(); ++i)
+    snap.histograms[i].second = histograms[i]->summary();
   return snap;
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshot_locked();
-}
+MetricsSnapshot MetricsRegistry::snapshot() const { return collect(nullptr); }
 
 JsonValue MetricsRegistry::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  JsonValue root = snapshot_locked().to_json();
-
-  JsonValue series = JsonValue::object();
-  for (const auto& [name, records] : series_) {
-    JsonValue arr = JsonValue::array();
-    for (const JsonValue& r : records) arr.push_back(r);
-    series.set(name, std::move(arr));
-  }
+  JsonValue series;
+  JsonValue root = collect(&series).to_json();
   root.set("series", std::move(series));
   return root;
 }

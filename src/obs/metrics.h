@@ -77,13 +77,14 @@ class Histogram {
   double sum_ = 0.0, min_ = 0.0, max_ = 0.0;
 };
 
-// One point-in-time view of every registered instrument, captured in a
-// single hold of the registry lock so a reader racing concurrent writers
-// can never observe a torn or half-registered set (the serve daemon's
-// `stats` admin verb reads this on its I/O loop while the worker keeps
-// writing). Instrument values themselves are relaxed atomics, so a
-// snapshot is consistent at instrument granularity: every entry reflects
-// some value that instrument actually held at snapshot time.
+// One point-in-time view of every registered instrument. The instrument
+// set, counter and gauge values are read in a single hold of the registry
+// lock, so a reader racing concurrent writers can never observe a torn or
+// half-registered set (the serve daemon's `stats` admin verb reads this on
+// its I/O loop while the worker keeps writing). Histogram summaries are
+// taken just after the lock is released, each under its histogram's own
+// lock. A snapshot is consistent at instrument granularity: every entry
+// reflects some value that instrument actually held during the call.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -107,7 +108,8 @@ class MetricsRegistry {
 
   // Point-in-time snapshot of all counters/gauges/histogram summaries
   // (series excluded — they are unbounded). Safe against concurrent
-  // writers and concurrent instrument registration.
+  // writers and concurrent instrument registration; holds the registry
+  // lock only to list instruments, not to summarise histograms.
   MetricsSnapshot snapshot() const;
 
   // Appends a JSON object to the named series (per-epoch records etc.).
@@ -124,10 +126,9 @@ class MetricsRegistry {
 
  private:
   MetricsRegistry() = default;
-  // Core of snapshot()/to_json(); caller must hold mu_ (mu_ is not
-  // recursive, so the public entry points share this instead of calling
-  // each other).
-  MetricsSnapshot snapshot_locked() const;
+  // Core of snapshot()/to_json(): also copies the series into `*series`
+  // under the same hold of mu_ when `series` is not null.
+  MetricsSnapshot collect(JsonValue* series) const;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -31,13 +31,6 @@ double max_of(std::span<const double> v) {
   return *std::max_element(v.begin(), v.end());
 }
 
-double geometric_mean(std::span<const double> v, double floor) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += std::log(std::max(std::abs(x), floor));
-  return std::exp(s / static_cast<double>(v.size()));
-}
-
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) throw std::invalid_argument("percentile: empty vector");
   const double idx = (p / 100.0) * static_cast<double>(v.size() - 1);

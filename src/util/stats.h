@@ -12,8 +12,6 @@ double mean(std::span<const double> v);
 double stddev(std::span<const double> v);
 double min_of(std::span<const double> v);
 double max_of(std::span<const double> v);
-// Geometric mean of |v_i| with zero values clamped to `floor`.
-double geometric_mean(std::span<const double> v, double floor = 1e-12);
 // Linear-interpolated percentile, p in [0, 100].
 double percentile(std::vector<double> v, double p);
 // Pearson correlation; 0 when either side is constant.

@@ -20,18 +20,6 @@ std::vector<std::string> split(std::string_view s, std::string_view delims) {
   return out;
 }
 
-std::vector<std::string> split_keep_empty(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::string trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
@@ -46,18 +34,8 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  for (auto& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
 bool iequals(std::string_view a, std::string_view b) {

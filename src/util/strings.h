@@ -10,14 +10,9 @@ namespace paragraph::util {
 // Split on any run of characters from `delims`; empty tokens are dropped.
 std::vector<std::string> split(std::string_view s, std::string_view delims = " \t");
 
-// Split on a single character keeping empty fields (CSV-style).
-std::vector<std::string> split_keep_empty(std::string_view s, char delim);
-
 std::string trim(std::string_view s);
 std::string to_lower(std::string_view s);
-std::string to_upper(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 bool iequals(std::string_view a, std::string_view b);
 
 // Parse a SPICE-style number with engineering suffix: 1.5k, 2u, 3.3meg,

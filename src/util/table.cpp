@@ -56,18 +56,4 @@ void Table::print(std::ostream& os) const {
   print_sep();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream ss;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) ss << ",";
-      ss << row[c];
-    }
-    ss << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return ss.str();
-}
-
 }  // namespace paragraph::util

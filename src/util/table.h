@@ -24,7 +24,6 @@ class Table {
   const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
 
   void print(std::ostream& os) const;
-  std::string to_csv() const;
 
  private:
   std::vector<std::string> header_;

@@ -83,11 +83,6 @@ TEST(Matrix, AddAndAxpyInplace) {
   EXPECT_THROW(axpy_inplace(a, 1.0f, c), std::invalid_argument);
 }
 
-TEST(Matrix, FrobeniusNorm) {
-  Matrix a(1, 2, std::vector<float>{3.0f, 4.0f});
-  EXPECT_FLOAT_EQ(frobenius_norm(a), 5.0f);
-}
-
 TEST(Matrix, GemmZeroSkipStillCorrect) {
   // The gemm kernel skips zero multipliers; verify the result is identical.
   util::Rng rng(23);

@@ -80,6 +80,15 @@ std::string depth_bomb() {
   return s;
 }
 
+// 100k distinct keys and no "netlist": 1.1 MB, far under the frame cap.
+// The I/O loop parses it before any field check, so the parse must stay
+// linear in the key count.
+std::string width_bomb() {
+  std::string s = "{";
+  for (int i = 0; i < 100000; ++i) s += (i == 0 ? "\"k" : ",\"k") + std::to_string(i) + "\":0";
+  return s + "}";
+}
+
 TEST(ProtocolFuzz, MalformedFramesGetTypedErrorsAndServerSurvives) {
   ServeConfig cfg;
   cfg.socket_path = ::testing::TempDir() + "fuzz.sock";
@@ -97,6 +106,7 @@ TEST(ProtocolFuzz, MalformedFramesGetTypedErrorsAndServerSurvives) {
   corpus.push_back({"trailing_garbage", "{\"id\": 1} trailing", false, 0,
                     "bad_request", true});
   corpus.push_back({"depth_bomb", depth_bomb(), false, 0, "bad_request", true});
+  corpus.push_back({"width_bomb", width_bomb(), false, 0, "bad_request", true});
   corpus.push_back({"non_object_json", "42", false, 0, "bad_request", true});
   corpus.push_back({"netlist_wrong_type", "{\"id\": 1, \"netlist\": 5}", false, 0,
                     "bad_request", true});

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -1276,6 +1277,41 @@ TEST(Serve, SlowlorisFrameTimesOutAndDisconnects) {
   ServeClient honest = ServeClient::connect_unix(cfg.socket_path);
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_TRUE(honest.predict(test_decks()[0]).at("ok").as_bool());
+  server.stop();
+}
+
+// The I/O loop decodes every frame inline, before the auth check, so a
+// frame's parse holds every other connection. The probe below waits about
+// 80 ms in Release and up to 1.1 s under the sanitizers (TSan); with a
+// linear key scan per member the 100k-key frame took 44 s to parse.
+#if defined(__OPTIMIZE__) && !defined(__SANITIZE_THREAD__)
+constexpr double kWideFrameStallMs = 1000.0;
+#else
+constexpr double kWideFrameStallMs = 10000.0;
+#endif
+
+TEST(Serve, WideFrameDoesNotStallOtherConnections) {
+  ServeConfig cfg = base_config("wide", artifacts().ensemble_a);
+  Server server(cfg);
+  server.start();
+  ServeClient wide = ServeClient::connect_unix(cfg.socket_path);
+  ServeClient probe = ServeClient::connect_unix(cfg.socket_path);
+  ASSERT_TRUE(probe.admin("healthz").at("ok").as_bool());
+  obs::JsonValue bomb = obs::JsonValue::object();
+  for (int i = 0; i < 100000; ++i) bomb.set(std::to_string(i), 0);
+  // Returns once the daemon has read all but a socket buffer of the frame.
+  write_frame(wide.fd(), bomb.dump());
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(probe.admin("healthz").at("ok").as_bool());
+  const double ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(ms, kWideFrameStallMs);
+  // The wide frame itself is answered: no "netlist", so a typed error.
+  std::string payload;
+  ASSERT_TRUE(read_frame(wide.fd(), &payload));
+  const auto resp = obs::JsonValue::parse(payload);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->at("error").at("code").as_string(), "bad_request");
   server.stop();
 }
 
