@@ -9,7 +9,8 @@
 #   scripts/run_sanitizers.sh thread       # one sanitizer
 #   scripts/run_sanitizers.sh undefined -R plan_test   # extra ctest args
 #   scripts/run_sanitizers.sh robustness   # the robustness label (corrupt-
-#                                          # artifact matrix, parser corpus,
+#                                          # artifact matrix, shard sweep and
+#                                          # manifest edits, parser corpus,
 #                                          # kill-and-resume, fault suite)
 #                                          # under all three sanitizers; the
 #                                          # thread flavour runs it with

@@ -1,6 +1,5 @@
 #include "circuit/hierarchy.h"
 
-#include <cstring>
 #include <string>
 #include <unordered_map>
 
@@ -8,17 +7,6 @@
 #include "util/strings.h"
 
 namespace paragraph::circuit {
-
-namespace {
-
-template <typename T>
-void put_pod(std::string& buf, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(T));
-}
-
-}  // namespace
 
 std::uint64_t instance_structural_hash(const Netlist& nl, const SubcktInstance& inst) {
   // Boundary nets map to their first port position (a net bound to two
@@ -35,18 +23,17 @@ std::uint64_t instance_structural_hash(const Netlist& nl, const SubcktInstance& 
   for (NetId n = inst.first_net; n < inst.net_end; ++n)
     if (!nl.net(n).is_supply) private_of.emplace(n, next_private++);
 
-  std::string buf;
-  buf.reserve(static_cast<std::size_t>(inst.device_end - inst.first_device) * 48);
-  put_pod(buf, static_cast<std::uint32_t>(inst.ref.boundary_nets.size()));
+  util::ByteWriter buf(static_cast<std::size_t>(inst.device_end - inst.first_device) * 48);
+  buf.pod(static_cast<std::uint32_t>(inst.ref.boundary_nets.size()));
   for (DeviceId id = inst.first_device; id < inst.device_end; ++id) {
     const Device& d = nl.device(id);
-    put_pod(buf, static_cast<std::uint8_t>(d.kind));
-    put_pod(buf, d.params.length);
-    put_pod(buf, static_cast<std::int32_t>(d.params.num_fingers));
-    put_pod(buf, static_cast<std::int32_t>(d.params.num_fins));
-    put_pod(buf, static_cast<std::int32_t>(d.params.multiplier));
-    put_pod(buf, d.params.value);
-    put_pod(buf, static_cast<std::uint32_t>(d.conns.size()));
+    buf.pod(static_cast<std::uint8_t>(d.kind));
+    buf.pod(d.params.length);
+    buf.pod(static_cast<std::int32_t>(d.params.num_fingers));
+    buf.pod(static_cast<std::int32_t>(d.params.num_fins));
+    buf.pod(static_cast<std::int32_t>(d.params.multiplier));
+    buf.pod(d.params.value);
+    buf.pod(static_cast<std::uint32_t>(d.conns.size()));
     for (const NetId c : d.conns) {
       // Port references canonicalize by position before the supply check:
       // binding a port to a supply net merges the port with the global, so
@@ -54,24 +41,24 @@ std::uint64_t instance_structural_hash(const Netlist& nl, const SubcktInstance& 
       // cache entry rather than a false collision with signal-bound
       // siblings — see gnn::PlanCache).
       if (auto it = port_of.find(c); it != port_of.end()) {
-        buf.push_back('P');
-        put_pod(buf, it->second);
+        buf.pod('P');
+        buf.pod(it->second);
       } else if (nl.net(c).is_supply) {
-        buf.push_back('G');
-        put_pod(buf, util::fnv1a64(util::to_lower(nl.net(c).name)));
+        buf.pod('G');
+        buf.pod(util::fnv1a64(util::to_lower(nl.net(c).name)));
       } else if (auto jt = private_of.find(c); jt != private_of.end()) {
-        buf.push_back('I');
-        put_pod(buf, jt->second);
+        buf.pod('I');
+        buf.pod(jt->second);
       } else {
         // Unreachable for parser-built netlists (only ports and globals
         // escape a subckt); hashing the raw id keeps a hand-assembled
         // record instance-specific rather than falsely shared.
-        buf.push_back('X');
-        put_pod(buf, c);
+        buf.pod('X');
+        buf.pod(c);
       }
     }
   }
-  return util::fnv1a64(buf);
+  return util::fnv1a64(buf.view());
 }
 
 void compute_structural_hashes(Netlist& nl) {

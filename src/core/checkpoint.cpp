@@ -2,11 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 
 #include "core/serialize.h"
 #include "util/atomic_file.h"
-#include "util/bytes.h"
 
 namespace paragraph::core {
 
@@ -14,89 +12,36 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x5047636b;  // "PGck"
 constexpr std::uint32_t kVersion = 1;
-constexpr std::uint64_t kMaxMatrixDim = 1 << 24;
-constexpr std::uint64_t kMaxParams = 1 << 20;
 constexpr std::uint64_t kMaxModelBytes = std::uint64_t{1} << 30;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-void write_matrix(std::ostream& os, const nn::Matrix& m) {
-  write_pod(os, static_cast<std::uint64_t>(m.rows()));
-  write_pod(os, static_cast<std::uint64_t>(m.cols()));
-  os.write(reinterpret_cast<const char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(float)));
-}
-
-void write_matrices(std::ostream& os, const std::vector<nn::Matrix>& ms) {
-  write_pod(os, static_cast<std::uint64_t>(ms.size()));
-  for (const auto& m : ms) write_matrix(os, m);
-}
-
-nn::Matrix read_matrix(util::ByteReader& r) {
-  const auto rows = static_cast<std::size_t>(
-      r.bounded(r.pod<std::uint64_t>("matrix rows"), 0, kMaxMatrixDim, "matrix rows"));
-  const auto cols = static_cast<std::size_t>(
-      r.bounded(r.pod<std::uint64_t>("matrix cols"), 0, kMaxMatrixDim, "matrix cols"));
-  // Length-check before allocating: a corrupt shape cannot drive an
-  // allocation larger than the bytes actually present.
-  if (rows != 0 && cols != 0 && r.remaining() / (cols * sizeof(float)) < rows)
-    r.corrupt("matrix data longer than remaining file");
-  const std::string_view data = r.bytes(rows * cols * sizeof(float), "matrix data");
-  std::vector<float> values(rows * cols);
-  std::memcpy(values.data(), data.data(), data.size());
-  return nn::Matrix(rows, cols, std::move(values));
-}
-
-std::vector<nn::Matrix> read_matrices(util::ByteReader& r) {
-  const auto count =
-      r.bounded(r.pod<std::uint64_t>("matrix count"), 0, kMaxParams, "matrix count");
-  std::vector<nn::Matrix> ms;
-  ms.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) ms.push_back(read_matrix(r));
-  return ms;
-}
 
 }  // namespace
 
 void save_checkpoint(const TrainCheckpoint& ckpt, const std::string& path) {
-  std::ostringstream os(std::ios::binary);
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
-  write_pod(os, static_cast<std::int32_t>(ckpt.next_epoch));
-  write_pod(os, ckpt.lr_scale);
-  write_pod(os, static_cast<std::int32_t>(ckpt.nonfinite_streak));
-  write_pod(os, ckpt.has_best);
-  write_pod(os, ckpt.best_loss);
-  write_matrices(os, ckpt.best_params);
-  for (const std::uint64_t w : ckpt.shuffle_rng.words) write_pod(os, w);
-  write_pod(os, ckpt.shuffle_rng.cached_normal);
-  write_pod(os, ckpt.shuffle_rng.has_cached_normal);
-  write_pod(os, static_cast<std::int64_t>(ckpt.adam_steps));
-  write_matrices(os, ckpt.adam_m);
-  write_matrices(os, ckpt.adam_v);
-  write_pod(os, static_cast<std::uint64_t>(ckpt.model_bytes.size()));
-  os.write(ckpt.model_bytes.data(), static_cast<std::streamsize>(ckpt.model_bytes.size()));
-
-  std::string bytes = os.str();
-  const std::uint64_t checksum = util::fnv1a64(bytes);
-  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  util::write_file_atomic(path, bytes);
+  util::ByteWriter w;
+  w.pod(kMagic);
+  w.pod(kVersion);
+  w.pod(static_cast<std::int32_t>(ckpt.next_epoch));
+  w.pod(ckpt.lr_scale);
+  w.pod(static_cast<std::int32_t>(ckpt.nonfinite_streak));
+  w.pod(ckpt.has_best);
+  w.pod(ckpt.best_loss);
+  write_matrices(w, ckpt.best_params);
+  for (const std::uint64_t word : ckpt.shuffle_rng.words) w.pod(word);
+  w.pod(ckpt.shuffle_rng.cached_normal);
+  w.pod(ckpt.shuffle_rng.has_cached_normal);
+  w.pod(static_cast<std::int64_t>(ckpt.adam_steps));
+  write_matrices(w, ckpt.adam_m);
+  write_matrices(w, ckpt.adam_v);
+  w.pod(static_cast<std::uint64_t>(ckpt.model_bytes.size()));
+  w.bytes(ckpt.model_bytes);
+  w.append_checksum();
+  util::write_file_atomic(path, w.view());
 }
 
 TrainCheckpoint load_checkpoint(const std::string& path) {
-  const std::string bytes = read_artifact_file(path, "load_checkpoint");
-  const std::string context = "load_checkpoint: '" + path + "'";
-  util::ByteReader header(bytes, context);
-  if (bytes.size() < sizeof(std::uint64_t)) header.corrupt("truncated before checksum");
-  const std::string_view payload(bytes.data(), bytes.size() - sizeof(std::uint64_t));
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + payload.size(), sizeof(stored));
-  if (stored != util::fnv1a64(payload)) header.corrupt("payload checksum mismatch");
-
-  util::ByteReader r(payload, context);
+  const std::string bytes = util::read_artifact_file(path, "load_checkpoint");
+  util::ByteReader r(bytes, "load_checkpoint: '" + path + "'");
+  r.strip_checksum();
   if (r.pod<std::uint32_t>("magic") != kMagic)
     r.corrupt("not a ParaGraph checkpoint file (bad magic)");
   const auto version = r.pod<std::uint32_t>("version");

@@ -116,7 +116,8 @@ void CapEnsemble::save(const std::string& path) const {
 }
 
 CapEnsemble CapEnsemble::load(const std::string& path) {
-  const std::string text = read_artifact_file(path, "CapEnsemble::load", std::uint64_t{1} << 20);
+  const std::string text =
+      util::read_artifact_file(path, "CapEnsemble::load", std::uint64_t{1} << 20);
   const std::string context = "CapEnsemble::load: '" + path + "'";
   std::istringstream in(text);
   std::string tag;

@@ -2,12 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 
 #include "obs/sketch.h"
 #include "util/atomic_file.h"
-#include "util/bytes.h"
 #include "util/faultinject.h"
 
 namespace paragraph::core {
@@ -34,9 +31,10 @@ constexpr std::uint32_t kMagic = 0x50477230;  // "PGr0"
 constexpr std::uint32_t kVersion = 5;
 
 // Sane maxima for decoded dims/counts. A corrupt or adversarial file must
-// not be able to drive multi-gigabyte allocations before the shape check
-// against the freshly constructed model runs; these bounds comfortably
-// contain every real configuration (paper: embed_dim 32, 5 layers).
+// not be able to drive multi-gigabyte allocations before the checks
+// against the freshly constructed model run; these bounds comfortably
+// contain every real configuration (paper: embed_dim 32, 5 layers). The
+// matrix bounds hold for checkpoints too, which share the matrix block.
 constexpr std::uint64_t kMaxEmbedDim = 1024;
 constexpr std::uint64_t kMaxLayers = 64;
 constexpr std::uint64_t kMaxParams = 1 << 20;
@@ -49,11 +47,6 @@ constexpr std::uint64_t kMaxSketchName = 256;
 constexpr std::uint32_t kMaxModelKind = static_cast<std::uint32_t>(gnn::ModelKind::kParaGraphNoConcat);
 constexpr std::uint32_t kMaxTargetKind = static_cast<std::uint32_t>(dataset::kNumTargets) - 1;
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
 double finite_or_corrupt(double v, util::ByteReader& r, const char* what) {
   if (!std::isfinite(v)) r.corrupt(std::string("non-finite ") + what);
   return v;
@@ -61,88 +54,99 @@ double finite_or_corrupt(double v, util::ByteReader& r, const char* what) {
 
 }  // namespace
 
+void write_matrices(util::ByteWriter& w, std::span<const nn::Matrix> ms) {
+  w.pod(static_cast<std::uint64_t>(ms.size()));
+  for (const nn::Matrix& m : ms) {
+    w.pod(static_cast<std::uint64_t>(m.rows()));
+    w.pod(static_cast<std::uint64_t>(m.cols()));
+    w.bytes({reinterpret_cast<const char*>(m.data()), m.size() * sizeof(float)});
+  }
+}
+
+std::vector<nn::Matrix> read_matrices(util::ByteReader& r) {
+  const auto count =
+      r.bounded(r.pod<std::uint64_t>("matrix count"), 0, kMaxParams, "matrix count");
+  std::vector<nn::Matrix> ms;
+  ms.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto rows = static_cast<std::size_t>(
+        r.bounded(r.pod<std::uint64_t>("matrix rows"), 0, kMaxMatrixDim, "matrix rows"));
+    const auto cols = static_cast<std::size_t>(
+        r.bounded(r.pod<std::uint64_t>("matrix cols"), 0, kMaxMatrixDim, "matrix cols"));
+    // bytes() length-checks before anything is allocated: a corrupt shape
+    // cannot drive an allocation larger than the bytes actually present.
+    const std::string_view data = r.bytes(rows * cols * sizeof(float), "matrix data");
+    std::vector<float> values(rows * cols);
+    std::memcpy(values.data(), data.data(), data.size());
+    ms.emplace_back(rows, cols, std::move(values));
+  }
+  return ms;
+}
+
 std::string predictor_to_bytes(const GnnPredictor& predictor) {
-  std::ostringstream os(std::ios::binary);
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
+  util::ByteWriter w;
+  w.pod(kMagic);
+  w.pod(kVersion);
 
   const PredictorConfig& c = predictor.config();
-  write_pod(os, static_cast<std::uint32_t>(c.model));
-  write_pod(os, static_cast<std::uint32_t>(c.target));
-  write_pod(os, static_cast<std::uint64_t>(c.embed_dim));
-  write_pod(os, static_cast<std::uint64_t>(c.num_layers));
-  write_pod(os, static_cast<std::uint64_t>(c.fc_layers));
-  write_pod(os, c.max_v_ff);
-  write_pod(os, c.epochs);
-  write_pod(os, c.learning_rate);
-  write_pod(os, c.grad_clip);
-  write_pod(os, c.lr_final_fraction);
-  write_pod(os, c.seed);
-  write_pod(os, c.scale);
-  write_pod(os, static_cast<std::uint64_t>(c.batch_size));
-  write_pod(os, static_cast<std::uint64_t>(c.train_threads));
+  w.pod(static_cast<std::uint32_t>(c.model));
+  w.pod(static_cast<std::uint32_t>(c.target));
+  w.pod(static_cast<std::uint64_t>(c.embed_dim));
+  w.pod(static_cast<std::uint64_t>(c.num_layers));
+  w.pod(static_cast<std::uint64_t>(c.fc_layers));
+  w.pod(c.max_v_ff);
+  w.pod(c.epochs);
+  w.pod(c.learning_rate);
+  w.pod(c.grad_clip);
+  w.pod(c.lr_final_fraction);
+  w.pod(c.seed);
+  w.pod(c.scale);
+  w.pod(static_cast<std::uint64_t>(c.batch_size));
+  w.pod(static_cast<std::uint64_t>(c.train_threads));
 
   const TargetScaler::State s = predictor.scaler().state();
-  write_pod(os, s.zscore);
-  write_pod(os, s.log_space);
-  write_pod(os, s.mean);
-  write_pod(os, s.stdev);
-  write_pod(os, s.max_v);
+  w.pod(s.zscore);
+  w.pod(s.log_space);
+  w.pod(s.mean);
+  w.pod(s.stdev);
+  w.pod(s.max_v);
 
-  const auto params = predictor.parameters();
-  write_pod(os, static_cast<std::uint64_t>(params.size()));
-  for (const auto& p : params) {
-    const nn::Matrix& m = p.value();
-    write_pod(os, static_cast<std::uint64_t>(m.rows()));
-    write_pod(os, static_cast<std::uint64_t>(m.cols()));
-    os.write(reinterpret_cast<const char*>(m.data()),
-             static_cast<std::streamsize>(m.size() * sizeof(float)));
-  }
+  std::vector<nn::Matrix> params;
+  for (const auto& p : predictor.parameters()) params.push_back(p.value());
+  write_matrices(w, params);
   // v5 sketch block (drift reference). Placed after the parameter data so
   // everything before it keeps its historical byte offsets.
   const auto& sketches = predictor.feature_sketches();
-  write_pod(os, static_cast<std::uint64_t>(sketches.size()));
+  w.pod(static_cast<std::uint64_t>(sketches.size()));
   for (const auto& sk : sketches) {
     const obs::FeatureSketch::State st = sk.state();
-    write_pod(os, static_cast<std::uint64_t>(st.name.size()));
-    os.write(st.name.data(), static_cast<std::streamsize>(st.name.size()));
-    write_pod(os, st.count);
-    write_pod(os, st.mean);
-    write_pod(os, st.m2);
-    write_pod(os, st.lo);
-    write_pod(os, st.hi);
-    write_pod(os, st.underflow);
-    write_pod(os, st.overflow);
-    write_pod(os, static_cast<std::uint64_t>(st.bins.size()));
-    for (const std::uint64_t b : st.bins) write_pod(os, b);
+    w.pod(static_cast<std::uint64_t>(st.name.size()));
+    w.bytes(st.name);
+    w.pod(st.count);
+    w.pod(st.mean);
+    w.pod(st.m2);
+    w.pod(st.lo);
+    w.pod(st.hi);
+    w.pod(st.underflow);
+    w.pod(st.overflow);
+    w.pod(static_cast<std::uint64_t>(st.bins.size()));
+    for (const std::uint64_t b : st.bins) w.pod(b);
   }
-
-  std::string bytes = os.str();
-  const std::uint64_t checksum = util::fnv1a64(bytes);
-  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  return bytes;
+  w.append_checksum();
+  return w.take();
 }
 
 GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& context) {
-  util::ByteReader header(bytes, context);
-  if (header.pod<std::uint32_t>("magic") != kMagic)
-    header.corrupt("not a ParaGraph model file (bad magic)");
-  const auto version = header.pod<std::uint32_t>("version");
+  util::ByteReader r(bytes, context);
+  if (r.pod<std::uint32_t>("magic") != kMagic) r.corrupt("not a ParaGraph model file (bad magic)");
+  const auto version = r.pod<std::uint32_t>("version");
   if (version != kVersion)
-    header.corrupt("unsupported format version " + std::to_string(version) + " (this build reads " +
-                   std::to_string(kVersion) + ")");
+    r.corrupt("unsupported format version " + std::to_string(version) + " (this build reads " +
+              std::to_string(kVersion) + ")");
 
-  // A trailing checksum covers everything before it; verify it first so
-  // every later parse error means "malformed", not "bit rot".
-  if (bytes.size() < sizeof(std::uint64_t)) header.corrupt("truncated before checksum");
-  const std::string_view payload = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + payload.size(), sizeof(stored));
-  if (stored != util::fnv1a64(payload)) header.corrupt("payload checksum mismatch");
-
-  util::ByteReader r(payload, context);
-  r.pod<std::uint32_t>("magic");
-  r.pod<std::uint32_t>("version");
+  // A trailing checksum covers everything before it; verify it before the
+  // rest so every later parse error means "malformed", not "bit rot".
+  r.strip_checksum();
 
   if (util::fault::should_fail("model.load")) r.corrupt("fault injected (model.load)");
 
@@ -182,24 +186,18 @@ GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& con
   GnnPredictor predictor(c);
   predictor.set_scaler(TargetScaler::from_state(s));
 
-  const auto params = predictor.parameters();
-  const auto count = r.bounded(r.pod<std::uint64_t>("parameter count"), 0, kMaxParams,
-                               "parameter count");
-  if (count != params.size())
-    r.corrupt("parameter count mismatch (file has " + std::to_string(count) + ", model expects " +
-              std::to_string(params.size()) + ")");
-  for (auto p : params) {
-    const auto rows =
-        static_cast<std::size_t>(r.bounded(r.pod<std::uint64_t>("rows"), 0, kMaxMatrixDim, "rows"));
-    const auto cols =
-        static_cast<std::size_t>(r.bounded(r.pod<std::uint64_t>("cols"), 0, kMaxMatrixDim, "cols"));
-    nn::Matrix& m = p.mutable_value();
-    if (rows != m.rows() || cols != m.cols())
-      r.corrupt("parameter shape mismatch (file has " + std::to_string(rows) + "x" +
-                std::to_string(cols) + ", model expects " + std::to_string(m.rows()) + "x" +
-                std::to_string(m.cols()) + ")");
-    const std::string_view data = r.bytes(m.size() * sizeof(float), "parameter data");
-    std::memcpy(m.data(), data.data(), data.size());
+  auto params = predictor.parameters();
+  std::vector<nn::Matrix> values = read_matrices(r);
+  if (values.size() != params.size())
+    r.corrupt("parameter count mismatch (file has " + std::to_string(values.size()) +
+              ", model expects " + std::to_string(params.size()) + ")");
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    nn::Matrix& m = params[i].mutable_value();
+    if (values[i].rows() != m.rows() || values[i].cols() != m.cols())
+      r.corrupt("parameter shape mismatch (file has " + std::to_string(values[i].rows()) + "x" +
+                std::to_string(values[i].cols()) + ", model expects " + std::to_string(m.rows()) +
+                "x" + std::to_string(m.cols()) + ")");
+    m = std::move(values[i]);
   }
   // Sketch block: the drift reference the model was trained against.
   const auto num_sketches =
@@ -232,30 +230,13 @@ GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& con
 }
 
 void save_predictor(const GnnPredictor& predictor, const std::string& path) {
-  // AtomicFile publishes with temp + fsync + rename, so a crash or full
-  // disk mid-save leaves any previous model file intact.
+  // Published with temp + fsync + rename, so a crash or full disk
+  // mid-save leaves any previous model file intact.
   util::write_file_atomic(path, predictor_to_bytes(predictor));
 }
 
-std::string read_artifact_file(const std::string& path, const char* what,
-                               std::uint64_t max_bytes) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw util::IoError(std::string(what) + ": cannot open '" + path + "'");
-  const auto end = is.tellg();
-  if (end < 0) throw util::IoError(std::string(what) + ": cannot stat '" + path + "'");
-  const auto size = static_cast<std::uint64_t>(end);
-  if (size > max_bytes)
-    throw util::CorruptArtifactError(std::string(what) + ": '" + path + "' is implausibly large (" +
-                                     std::to_string(size) + " bytes)");
-  is.seekg(0);
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!is) throw util::IoError(std::string(what) + ": short read from '" + path + "'");
-  return bytes;
-}
-
 GnnPredictor load_predictor(const std::string& path) {
-  const std::string bytes = read_artifact_file(path, "load_predictor");
+  const std::string bytes = util::read_artifact_file(path, "load_predictor");
   return predictor_from_bytes(bytes, "load_predictor: '" + path + "'");
 }
 

@@ -1,17 +1,22 @@
-// Binary persistence for trained predictors.
+// Binary persistence for trained predictors (model format v5).
 //
 // A trained GnnPredictor is stored as its PredictorConfig (so the exact
-// architecture can be reconstructed), the fitted TargetScaler state, and
-// every parameter matrix in deterministic construction order. Files carry
-// a magic header and a format version; loads validate shapes against the
-// freshly constructed model.
+// architecture can be reconstructed), the fitted TargetScaler state, every
+// parameter matrix in deterministic construction order and the training-
+// set feature sketches. Files carry a magic header and a format version
+// and end in the checksum trailer of util/bytes.h; they are written and
+// read through util/atomic_file.h. Loads validate the parameter count and
+// shapes against the freshly constructed model.
 #pragma once
 
-#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/predictor.h"
+#include "nn/matrix.h"
+#include "util/bytes.h"
 
 namespace paragraph::core {
 
@@ -33,9 +38,11 @@ GnnPredictor load_predictor(const std::string& path);
 std::string predictor_to_bytes(const GnnPredictor& predictor);
 GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& context);
 
-// Slurps an artifact file with a size sanity bound. Throws util::IoError
-// (unreadable) or util::CorruptArtifactError (implausibly large).
-std::string read_artifact_file(const std::string& path, const char* what,
-                               std::uint64_t max_bytes = std::uint64_t{1} << 30);
+// The matrix block model files, checkpoints and the golden fixtures
+// (gnn/golden.h) share: a u64 count, then per matrix u64 rows, u64 cols
+// and rows*cols f32 values. The reader bounds the count and dims and
+// length-checks each matrix's data before allocating it.
+void write_matrices(util::ByteWriter& w, std::span<const nn::Matrix> ms);
+std::vector<nn::Matrix> read_matrices(util::ByteReader& r);
 
 }  // namespace paragraph::core

@@ -169,15 +169,13 @@ FeatureNormalizer FeatureNormalizer::from_state(
 }
 
 std::uint64_t FeatureNormalizer::fingerprint() const {
-  std::string buf;
-  buf.push_back(fitted_ ? 1 : 0);
+  util::ByteWriter w;
+  w.pod(static_cast<char>(fitted_ ? 1 : 0));
   for (const Stats& st : stats_) {
-    for (const float v : st.mean)
-      buf.append(reinterpret_cast<const char*>(&v), sizeof(float));
-    for (const float v : st.stdev)
-      buf.append(reinterpret_cast<const char*>(&v), sizeof(float));
+    for (const float v : st.mean) w.pod(v);
+    for (const float v : st.stdev) w.pod(v);
   }
-  return util::fnv1a64(buf);
+  return util::fnv1a64(w.view());
 }
 
 Sample make_sample(Netlist nl) {

@@ -1,14 +1,10 @@
 #include "dataset/shards.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <limits>
 #include <utility>
 
 #include "obs/json.h"
@@ -38,16 +34,12 @@ constexpr std::uint64_t kMaxDevices = 1 << 26;
 constexpr std::uint64_t kMaxConns = 64;
 constexpr std::uint64_t kMaxInstances = 1 << 22;
 constexpr std::uint64_t kMaxBoundary = 1 << 16;
+// The manifest holds one short entry per shard plus the normaliser.
+constexpr std::uint64_t kMaxManifestBytes = std::uint64_t{64} << 20;
 
-template <typename T>
-void put_pod(std::string& buf, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-void put_str(std::string& buf, const std::string& s) {
-  put_pod(buf, static_cast<std::uint32_t>(s.size()));
-  buf.append(s);
+void write_str(util::ByteWriter& w, const std::string& s) {
+  w.pod(static_cast<std::uint32_t>(s.size()));
+  w.bytes(s);
 }
 
 std::string read_str(util::ByteReader& r, const char* what) {
@@ -55,50 +47,50 @@ std::string read_str(util::ByteReader& r, const char* what) {
   return std::string(r.bytes(static_cast<std::size_t>(n), what));
 }
 
-void put_netlist(std::string& buf, const Netlist& nl) {
-  put_str(buf, nl.name());
-  put_pod(buf, static_cast<std::uint64_t>(nl.num_nets()));
+void write_netlist(util::ByteWriter& w, const Netlist& nl) {
+  write_str(w, nl.name());
+  w.pod(static_cast<std::uint64_t>(nl.num_nets()));
   for (const circuit::Net& n : nl.nets()) {
-    put_str(buf, n.name);
-    put_pod(buf, static_cast<std::uint8_t>(n.is_supply ? 1 : 0));
-    put_pod(buf, static_cast<std::uint8_t>(n.ground_truth_cap.has_value() ? 1 : 0));
-    if (n.ground_truth_cap) put_pod(buf, *n.ground_truth_cap);
-    put_pod(buf, static_cast<std::uint8_t>(n.ground_truth_res.has_value() ? 1 : 0));
-    if (n.ground_truth_res) put_pod(buf, *n.ground_truth_res);
+    write_str(w, n.name);
+    w.pod(static_cast<std::uint8_t>(n.is_supply ? 1 : 0));
+    w.pod(static_cast<std::uint8_t>(n.ground_truth_cap.has_value() ? 1 : 0));
+    if (n.ground_truth_cap) w.pod(*n.ground_truth_cap);
+    w.pod(static_cast<std::uint8_t>(n.ground_truth_res.has_value() ? 1 : 0));
+    if (n.ground_truth_res) w.pod(*n.ground_truth_res);
   }
-  put_pod(buf, static_cast<std::uint64_t>(nl.num_devices()));
+  w.pod(static_cast<std::uint64_t>(nl.num_devices()));
   for (const Device& d : nl.devices()) {
-    put_str(buf, d.name);
-    put_pod(buf, static_cast<std::uint8_t>(d.kind));
-    put_pod(buf, static_cast<std::uint32_t>(d.conns.size()));
-    for (const circuit::NetId c : d.conns) put_pod(buf, c);
-    put_pod(buf, d.params.length);
-    put_pod(buf, static_cast<std::int32_t>(d.params.num_fingers));
-    put_pod(buf, static_cast<std::int32_t>(d.params.num_fins));
-    put_pod(buf, static_cast<std::int32_t>(d.params.multiplier));
-    put_pod(buf, d.params.value);
-    put_pod(buf, static_cast<std::uint8_t>(d.layout.has_value() ? 1 : 0));
+    write_str(w, d.name);
+    w.pod(static_cast<std::uint8_t>(d.kind));
+    w.pod(static_cast<std::uint32_t>(d.conns.size()));
+    for (const circuit::NetId c : d.conns) w.pod(c);
+    w.pod(d.params.length);
+    w.pod(static_cast<std::int32_t>(d.params.num_fingers));
+    w.pod(static_cast<std::int32_t>(d.params.num_fins));
+    w.pod(static_cast<std::int32_t>(d.params.multiplier));
+    w.pod(d.params.value);
+    w.pod(static_cast<std::uint8_t>(d.layout.has_value() ? 1 : 0));
     if (d.layout) {
-      put_pod(buf, d.layout->source_area);
-      put_pod(buf, d.layout->drain_area);
-      put_pod(buf, d.layout->source_perimeter);
-      put_pod(buf, d.layout->drain_perimeter);
-      for (const double v : d.layout->lde) put_pod(buf, v);
+      w.pod(d.layout->source_area);
+      w.pod(d.layout->drain_area);
+      w.pod(d.layout->source_perimeter);
+      w.pod(d.layout->drain_perimeter);
+      for (const double v : d.layout->lde) w.pod(v);
     }
-    put_str(buf, d.instance_path);
+    write_str(w, d.instance_path);
   }
-  put_pod(buf, static_cast<std::uint64_t>(nl.instances().size()));
+  w.pod(static_cast<std::uint64_t>(nl.instances().size()));
   for (const circuit::SubcktInstance& inst : nl.instances()) {
-    put_str(buf, inst.path);
-    put_pod(buf, static_cast<std::int32_t>(inst.parent));
-    put_str(buf, inst.ref.name);
-    put_pod(buf, inst.ref.structural_hash);
-    put_pod(buf, static_cast<std::uint32_t>(inst.ref.boundary_nets.size()));
-    for (const circuit::NetId c : inst.ref.boundary_nets) put_pod(buf, c);
-    put_pod(buf, inst.first_device);
-    put_pod(buf, inst.device_end);
-    put_pod(buf, inst.first_net);
-    put_pod(buf, inst.net_end);
+    write_str(w, inst.path);
+    w.pod(static_cast<std::int32_t>(inst.parent));
+    write_str(w, inst.ref.name);
+    w.pod(inst.ref.structural_hash);
+    w.pod(static_cast<std::uint32_t>(inst.ref.boundary_nets.size()));
+    for (const circuit::NetId c : inst.ref.boundary_nets) w.pod(c);
+    w.pod(inst.first_device);
+    w.pod(inst.device_end);
+    w.pod(inst.first_net);
+    w.pod(inst.net_end);
   }
 }
 
@@ -192,54 +184,18 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-// Read-only view of a shard file: mmap when possible (the kernel pages
-// only what the decode touches), plain read as the fallback.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st{};
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ, MAP_PRIVATE,
-                         fd, 0);
-        if (p != MAP_FAILED) {
-          data_ = static_cast<const char*>(p);
-          size_ = static_cast<std::size_t>(st.st_size);
-        }
-      }
-      ::close(fd);  // the mapping survives the descriptor
-      if (data_ != nullptr) return;
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw util::IoError("cannot open shard file '" + path + "'");
-    fallback_.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile() {
-    if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
-  }
+[[noreturn]] void bad_manifest(const std::string& path, const std::string& why) {
+  throw util::CorruptArtifactError(path + ": " + why);
+}
 
-  std::string_view view() const {
-    return data_ != nullptr ? std::string_view(data_, size_) : std::string_view(fallback_);
-  }
-
- private:
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::string fallback_;
-};
-
-std::string serialize_sample(const Sample& s) {
-  std::string buf;
-  put_pod(buf, kShardMagic);
-  put_pod(buf, kShardVersion);
-  put_str(buf, s.name);
-  put_netlist(buf, s.netlist);
-  const std::uint64_t checksum = util::fnv1a64(buf);
-  put_pod(buf, checksum);
-  return buf;
+// One manifest field of the given kind, or a typed error naming the
+// manifest.
+const obs::JsonValue& manifest_field(const obs::JsonValue& obj, const char* key,
+                                     obs::JsonValue::Kind kind, const std::string& path) {
+  const obs::JsonValue* v = obj.find(key);
+  if (v == nullptr || v->kind() != kind)
+    bad_manifest(path, std::string("missing or mistyped '") + key + "'");
+  return *v;
 }
 
 }  // namespace
@@ -257,18 +213,20 @@ ShardWriteResult write_shards(const SuiteDataset& ds, const std::string& dir) {
     for (std::size_t i = 0; i < samples.size(); ++i) {
       char fname[64];
       std::snprintf(fname, sizeof fname, "%s_%05zu.shard", prefix, i);
-      const std::string payload = serialize_sample(samples[i]);
-      util::write_file_atomic(dir + "/" + fname, payload);
+      util::ByteWriter w;
+      w.pod(kShardMagic);
+      w.pod(kShardVersion);
+      write_str(w, samples[i].name);
+      write_netlist(w, samples[i].netlist);
+      const std::uint64_t checksum = w.append_checksum();
+      util::write_file_atomic(dir + "/" + fname, w.view());
       obs::JsonValue e = obs::JsonValue::object();
       e.set("file", fname);
       e.set("name", samples[i].name);
-      e.set("bytes", payload.size());
-      // Checksum of everything before the trailing 8 checksum bytes —
-      // the same value the shard itself carries.
-      e.set("checksum", hex64(util::fnv1a64(std::string_view(payload)
-                                                .substr(0, payload.size() - sizeof(std::uint64_t)))));
+      e.set("bytes", w.view().size());
+      e.set("checksum", hex64(checksum));
       arr.push_back(std::move(e));
-      result.bytes += payload.size();
+      result.bytes += w.view().size();
       ++result.files;
     }
     return arr;
@@ -301,49 +259,60 @@ ShardWriteResult write_shards(const SuiteDataset& ds, const std::string& dir) {
 }
 
 ShardStore::ShardStore(const std::string& dir, Config cfg) : dir_(dir), cfg_(cfg) {
-  const std::string manifest_path = dir_ + "/" + kShardManifestName;
-  std::ifstream in(manifest_path, std::ios::binary);
-  if (!in) throw util::IoError("cannot open shard manifest '" + manifest_path + "'");
-  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::string path = dir_ + "/" + kShardManifestName;
+  const std::string text = util::read_artifact_file(path, "shard manifest", kMaxManifestBytes);
   std::string err;
   const auto doc = obs::JsonValue::parse(text, &err);
-  if (!doc) throw util::CorruptArtifactError(manifest_path + ": " + err);
+  if (!doc) bad_manifest(path, err);
   const obs::JsonValue* format = doc->find("format");
   if (format == nullptr || !format->is_string() || format->as_string() != kShardFormat)
-    throw util::CorruptArtifactError(manifest_path + ": not a " + std::string(kShardFormat) +
-                                     " manifest");
+    bad_manifest(path, "not a " + std::string(kShardFormat) + " manifest");
 
+  using Kind = obs::JsonValue::Kind;
   const auto parse_split = [&](const char* key, std::vector<Entry>& out) {
-    const obs::JsonValue* arr = doc->find(key);
-    if (arr == nullptr || !arr->is_array())
-      throw util::CorruptArtifactError(manifest_path + ": missing '" + key + "' array");
-    for (const obs::JsonValue& e : arr->elements()) {
-      if (!e.is_object()) throw util::CorruptArtifactError(manifest_path + ": bad entry");
+    for (const obs::JsonValue& e : manifest_field(*doc, key, Kind::kArray, path).elements()) {
+      if (!e.is_object()) bad_manifest(path, std::string("'") + key + "' entry is not an object");
       Entry entry;
-      entry.file = e.at("file").as_string();
-      entry.name = e.at("name").as_string();
-      entry.bytes = static_cast<std::uint64_t>(e.at("bytes").as_int());
-      const std::string& hex = e.at("checksum").as_string();
-      entry.checksum = std::strtoull(hex.c_str(), nullptr, 16);
+      entry.file = manifest_field(e, "file", Kind::kString, path).as_string();
+      entry.name = manifest_field(e, "name", Kind::kString, path).as_string();
+      const std::int64_t bytes = manifest_field(e, "bytes", Kind::kInt, path).as_int();
+      if (bytes < 0) bad_manifest(path, "negative 'bytes' for '" + entry.file + "'");
+      entry.bytes = static_cast<std::uint64_t>(bytes);
+      const std::string& hex = manifest_field(e, "checksum", Kind::kString, path).as_string();
+      const char* hex_end = hex.data() + hex.size();
+      const auto [end, ec] = std::from_chars(hex.data(), hex_end, entry.checksum, 16);
+      if (hex.size() != 16 || ec != std::errc() || end != hex_end)
+        bad_manifest(path, "checksum of '" + entry.file + "' is not 16 hex digits");
       if (entry.file.find('/') != std::string::npos || entry.file.find("..") != std::string::npos)
-        throw util::CorruptArtifactError(manifest_path + ": shard path escapes directory: '" +
-                                         entry.file + "'");
+        bad_manifest(path, "shard path escapes directory: '" + entry.file + "'");
       out.push_back(std::move(entry));
     }
   };
   parse_split("train", train_);
   parse_split("test", test_);
 
-  const obs::JsonValue* norm = doc->find("normalizer");
-  if (norm == nullptr || !norm->is_array() || norm->size() != graph::kNumNodeTypes)
-    throw util::CorruptArtifactError(manifest_path + ": missing/short normalizer block");
+  const obs::JsonValue& norm = manifest_field(*doc, "normalizer", Kind::kArray, path);
+  if (norm.size() != graph::kNumNodeTypes)
+    bad_manifest(path, "normalizer needs one entry per node type");
   std::array<FeatureNormalizer::TypeStats, graph::kNumNodeTypes> state;
   for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
-    const obs::JsonValue& ts = (*norm)[t];
-    for (const obs::JsonValue& v : ts.at("mean").elements())
-      state[t].mean.push_back(static_cast<float>(v.as_double()));
-    for (const obs::JsonValue& v : ts.at("stdev").elements())
-      state[t].stdev.push_back(static_cast<float>(v.as_double()));
+    if (!norm[t].is_object()) bad_manifest(path, "normalizer entry is not an object");
+    // FeatureNormalizer::apply indexes both vectors by feature column.
+    const std::size_t dim = graph::feature_dim(static_cast<graph::NodeType>(t));
+    const auto stats = [&](const char* key) {
+      const obs::JsonValue& arr = manifest_field(norm[t], key, Kind::kArray, path);
+      if (arr.size() != dim)
+        bad_manifest(path, "normalizer " + std::string(key) + " for node type " +
+                               std::to_string(t) + " needs " + std::to_string(dim) + " values");
+      std::vector<float> out;
+      for (const obs::JsonValue& v : arr.elements()) {
+        if (!v.is_number() || !(std::fabs(v.as_double()) <= std::numeric_limits<float>::max()))
+          bad_manifest(path, "non-finite normalizer " + std::string(key));
+        out.push_back(static_cast<float>(v.as_double()));
+      }
+      return out;
+    };
+    state[t] = {stats("mean"), stats("stdev")};
   }
   normalizer_ = FeatureNormalizer::from_state(state);
 }
@@ -394,30 +363,22 @@ std::shared_ptr<const Sample> ShardStore::load(bool is_test, std::size_t i) {
   Sample sample;
   {
     PARAGRAPH_TIMED_SCOPE("shard_load");
-    const MappedFile file(path);
-    const std::string_view bytes = file.view();
+    // The manifest's byte count is the file's exact size bound.
+    const std::string bytes = util::read_artifact_file(path, "shard", entry.bytes);
     util::ByteReader r(bytes, "shard '" + path + "'");
-    if (bytes.size() < sizeof(std::uint64_t)) r.corrupt("file shorter than its checksum");
-    const std::string_view payload = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
-    std::uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + payload.size(), sizeof stored);
-    const std::uint64_t actual = util::fnv1a64(payload);
-    if (stored != actual) r.corrupt("checksum mismatch (corrupt or truncated shard)");
-    if (entry.checksum != actual) r.corrupt("checksum disagrees with the manifest");
-
-    util::ByteReader pr(payload, "shard '" + path + "'");
-    if (pr.pod<std::uint32_t>("magic") != kShardMagic) pr.corrupt("bad magic");
-    const auto version = pr.pod<std::uint32_t>("version");
+    if (r.strip_checksum() != entry.checksum) r.corrupt("checksum disagrees with the manifest");
+    if (r.pod<std::uint32_t>("magic") != kShardMagic) r.corrupt("bad magic");
+    const auto version = r.pod<std::uint32_t>("version");
     if (version != kShardVersion)
-      pr.corrupt("unsupported shard version " + std::to_string(version));
-    const std::string name = read_str(pr, "sample name");
-    if (name != entry.name) pr.corrupt("sample name disagrees with the manifest");
-    circuit::Netlist nl = read_netlist(pr);
-    if (pr.remaining() != 0) pr.corrupt("trailing bytes after netlist");
+      r.corrupt("unsupported shard version " + std::to_string(version));
+    const std::string name = read_str(r, "sample name");
+    if (name != entry.name) r.corrupt("sample name disagrees with the manifest");
+    circuit::Netlist nl = read_netlist(r);
+    if (r.remaining() != 0) r.corrupt("trailing bytes after netlist");
     try {
       nl.validate();
     } catch (const std::exception& e) {
-      pr.corrupt(std::string("reconstructed netlist invalid: ") + e.what());
+      r.corrupt(std::string("reconstructed netlist invalid: ") + e.what());
     }
     sample = make_sample(std::move(nl));
   }

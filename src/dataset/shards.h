@@ -15,10 +15,13 @@
 // normalisation the pack-time dataset used without touching any shard.
 //
 // Durability/integrity: every file is published with
-// util::write_file_atomic (temp + fsync + rename), shard payloads end in
-// an FNV-1a-64 checksum, and the reader (mmap-backed, bounded
-// ByteReader) rejects truncated or bit-flipped files with
-// util::CorruptArtifactError instead of propagating garbage.
+// util::write_file_atomic (temp + fsync + rename) and read back with
+// util::read_artifact_file, a shard no larger than the byte count its
+// manifest entry records. Shard payloads end in the checksum trailer of
+// util/bytes.h and decode through the bounded ByteReader, and every
+// manifest field is type- and size-checked, so truncated, bit-flipped or
+// hand-edited files raise util::CorruptArtifactError instead of
+// propagating garbage.
 //
 // Memory bound: ShardStore materialises samples on demand through an LRU
 // working set capped at Config::max_resident_bytes (CLI --max-resident-mb).
@@ -98,7 +101,7 @@ class ShardStore {
     std::string file;       // path relative to dir_
     std::string name;       // sample/netlist name
     std::uint64_t checksum = 0;
-    std::uint64_t bytes = 0;  // on-disk payload size
+    std::uint64_t bytes = 0;  // on-disk file size, the read bound
   };
 
   std::shared_ptr<const Sample> load(bool is_test, std::size_t i);

@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <stdexcept>
 
 #include "circuitgen/generator.h"
+#include "core/serialize.h"
 #include "nn/ops.h"
+#include "util/bytes.h"
 
 namespace paragraph::gnn {
 
@@ -14,36 +16,6 @@ namespace {
 
 constexpr std::uint32_t kGoldenMagic = 0x50474744;  // "PGGD"
 constexpr std::uint32_t kGoldenVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("read_golden: truncated fixture");
-  return v;
-}
-
-void write_matrix(std::ostream& os, const nn::Matrix& m) {
-  write_pod(os, static_cast<std::uint64_t>(m.rows()));
-  write_pod(os, static_cast<std::uint64_t>(m.cols()));
-  os.write(reinterpret_cast<const char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(float)));
-}
-
-nn::Matrix read_matrix(std::istream& is) {
-  const auto rows = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-  const auto cols = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-  nn::Matrix m(rows, cols);
-  is.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(m.size() * sizeof(float)));
-  if (!is) throw std::runtime_error("read_golden: truncated matrix data");
-  return m;
-}
 
 }  // namespace
 
@@ -134,27 +106,25 @@ GoldenResult run_golden_case(const GoldenCase& c) {
 }
 
 void write_golden(std::ostream& os, const GoldenResult& r) {
-  write_pod(os, kGoldenMagic);
-  write_pod(os, kGoldenVersion);
-  write_pod(os, r.loss);
-  write_pod(os, static_cast<std::uint64_t>(r.embeddings.size()));
-  for (const auto& m : r.embeddings) write_matrix(os, m);
-  write_pod(os, static_cast<std::uint64_t>(r.param_grads.size()));
-  for (const auto& m : r.param_grads) write_matrix(os, m);
+  util::ByteWriter w;
+  w.pod(kGoldenMagic);
+  w.pod(kGoldenVersion);
+  w.pod(r.loss);
+  core::write_matrices(w, r.embeddings);
+  core::write_matrices(w, r.param_grads);
+  os.write(w.view().data(), static_cast<std::streamsize>(w.view().size()));
 }
 
 GoldenResult read_golden(std::istream& is) {
-  if (read_pod<std::uint32_t>(is) != kGoldenMagic)
-    throw std::runtime_error("read_golden: not a golden fixture");
-  if (read_pod<std::uint32_t>(is) != kGoldenVersion)
-    throw std::runtime_error("read_golden: unsupported fixture version");
-  GoldenResult r;
-  r.loss = read_pod<double>(is);
-  const auto ne = read_pod<std::uint64_t>(is);
-  for (std::uint64_t i = 0; i < ne; ++i) r.embeddings.push_back(read_matrix(is));
-  const auto np = read_pod<std::uint64_t>(is);
-  for (std::uint64_t i = 0; i < np; ++i) r.param_grads.push_back(read_matrix(is));
-  return r;
+  const std::string bytes{std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+  util::ByteReader r(bytes, "read_golden");
+  if (r.pod<std::uint32_t>("magic") != kGoldenMagic) r.corrupt("not a golden fixture");
+  if (r.pod<std::uint32_t>("version") != kGoldenVersion) r.corrupt("unsupported fixture version");
+  GoldenResult g;
+  g.loss = r.pod<double>("loss");
+  g.embeddings = core::read_matrices(r);
+  g.param_grads = core::read_matrices(r);
+  return g;
 }
 
 }  // namespace paragraph::gnn

@@ -49,7 +49,9 @@ graph::HeteroGraph golden_graph();
 // Seed-fixed forward + backward on the golden graph.
 GoldenResult run_golden_case(const GoldenCase& c);
 
-// Binary fixture I/O (magic + version header; throws on mismatch).
+// Binary fixture I/O: a magic + version header, the loss, then the
+// embeddings and the gradients as two core/serialize matrix blocks. A
+// damaged fixture raises util::CorruptArtifactError.
 void write_golden(std::ostream& os, const GoldenResult& r);
 GoldenResult read_golden(std::istream& is);
 

@@ -12,9 +12,9 @@
 //  - The dump path runs inside a signal handler, so it uses only
 //    async-signal-safe primitives: a preallocated format buffer and raw
 //    open/write/fsync/rename syscalls. It follows the same
-//    temp-then-rename publish discipline as util::AtomicFile (which
-//    itself allocates and therefore cannot be called from a handler):
-//    readers only ever see a complete dump.
+//    temp-then-rename publish discipline as util::write_file_atomic
+//    (which itself allocates and therefore cannot be called from a
+//    handler): readers only ever see a complete dump.
 //  - The phase stack is a bounded thread-local array of static-lifetime
 //    name pointers maintained by obs::ScopedTimer (when instrumentation
 //    is on) and by the explicit phase_enter/phase_exit calls the CLI

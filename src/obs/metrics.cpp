@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "obs/flight_recorder.h"
-#include "util/atomic_file.h"
 #include "util/stats.h"
 
 namespace paragraph::obs {
@@ -51,9 +50,10 @@ HistogramSummary Histogram::summary() const {
   }
   if (s.count == 0) return s;
   s.mean = s.sum / static_cast<double>(s.count);
-  s.p50 = util::percentile(samples, 50.0);
-  s.p95 = util::percentile(samples, 95.0);
-  s.p99 = util::percentile(std::move(samples), 99.0);
+  const std::vector<double> q = util::percentiles(std::move(samples), {50.0, 95.0, 99.0});
+  s.p50 = q[0];
+  s.p95 = q[1];
+  s.p99 = q[2];
   return s;
 }
 
@@ -183,10 +183,6 @@ JsonValue MetricsRegistry::to_json() const {
   JsonValue root = collect(&series).to_json();
   root.set("series", std::move(series));
   return root;
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  return util::try_write_file_atomic(path, to_json().dump() + '\n');
 }
 
 void MetricsRegistry::reset() {

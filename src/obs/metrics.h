@@ -118,7 +118,6 @@ class MetricsRegistry {
   // {"counters": {...}, "gauges": {...}, "histograms": {name: summary},
   //  "series": {name: [...]}}  — instruments with no activity are skipped.
   JsonValue to_json() const;
-  bool write_json(const std::string& path) const;
 
   // Zeroes every instrument and clears series without deallocating, so
   // references cached by hot paths stay valid.

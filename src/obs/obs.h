@@ -9,7 +9,10 @@
 //   obs::set_enabled(true);               // turn instrumentation on
 //   obs::TraceCollector::instance().set_enabled(true);
 //   ... run ...
-//   obs::MetricsRegistry::instance().write_json("metrics.json");
+//   auto& registry = obs::MetricsRegistry::instance();
+//   obs::JsonValue doc = registry.to_json();
+//   doc.set("profile", obs::profile_json(registry.snapshot()));
+//   util::try_write_file_atomic("metrics.json", doc.dump() + '\n');
 //   obs::TraceCollector::instance().write_json("trace.json");
 #pragma once
 

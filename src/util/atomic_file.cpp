@@ -1,17 +1,14 @@
 #include "util/atomic_file.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 
 #include "util/faultinject.h"
-
-#if defined(_WIN32)
-#include <io.h>
-#else
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace paragraph::util {
 
@@ -20,8 +17,6 @@ namespace {
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw IoError(what + " '" + path + "': " + std::strerror(errno ? errno : EIO));
 }
-
-#if !defined(_WIN32)
 
 // Flush the directory entry so the rename itself survives a crash.
 void fsync_parent_dir(const std::string& path) {
@@ -33,7 +28,9 @@ void fsync_parent_dir(const std::string& path) {
   ::close(dfd);
 }
 
-void publish(const std::string& path, std::string_view contents) {
+}  // namespace
+
+void write_file_atomic(const std::string& path, std::string_view contents) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   errno = 0;
   int fd = fault::should_fail("atomic.open")
@@ -69,46 +66,30 @@ void publish(const std::string& path, std::string_view contents) {
   fsync_parent_dir(path);
 }
 
-#else  // _WIN32 fallback: plain stdio without fsync semantics.
-
-void publish(const std::string& path, std::string_view contents) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = fault::should_fail("atomic.open") ? nullptr : std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) fail("AtomicFile: cannot create", tmp);
-  const bool ok = !fault::should_fail("atomic.write") &&
-                  std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
-  if (std::fclose(f) != 0 || !ok || fault::should_fail("atomic.fsync")) {
-    std::remove(tmp.c_str());
-    fail("AtomicFile: write failed for", tmp);
-  }
-  std::remove(path.c_str());
-  if (fault::should_fail("atomic.rename") || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("AtomicFile: rename failed for", path);
-  }
-}
-
-#endif
-
-}  // namespace
-
-void AtomicFile::commit() {
-  if (committed_) throw IoError("AtomicFile: double commit for '" + path_ + "'");
-  committed_ = true;
-  publish(path_, buf_.str());
-}
-
-void write_file_atomic(const std::string& path, std::string_view contents) {
-  publish(path, contents);
-}
-
 bool try_write_file_atomic(const std::string& path, std::string_view contents) {
   try {
-    publish(path, contents);
+    write_file_atomic(path, contents);
     return true;
   } catch (const IoError&) {
     return false;
   }
+}
+
+std::string read_artifact_file(const std::string& path, const char* what,
+                               std::uint64_t max_bytes) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) throw IoError(std::string(what) + ": cannot open '" + path + "'");
+  const auto end = is.tellg();
+  if (end < 0) throw IoError(std::string(what) + ": cannot stat '" + path + "'");
+  const auto size = static_cast<std::uint64_t>(end);
+  if (size > max_bytes)
+    throw CorruptArtifactError(std::string(what) + ": '" + path + "' is implausibly large (" +
+                               std::to_string(size) + " bytes)");
+  is.seekg(0);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!is) throw IoError(std::string(what) + ": short read from '" + path + "'");
+  return bytes;
 }
 
 }  // namespace paragraph::util

@@ -16,10 +16,10 @@
 // is a single relaxed atomic load.
 //
 // Injection sites in the tree:
-//   atomic.open    AtomicFile temp-file creation
-//   atomic.write   AtomicFile payload write
-//   atomic.fsync   AtomicFile fsync before rename
-//   atomic.rename  AtomicFile final rename
+//   atomic.open    write_file_atomic temp-file creation
+//   atomic.write   write_file_atomic payload write
+//   atomic.fsync   write_file_atomic fsync before rename
+//   atomic.rename  write_file_atomic final rename
 //   model.load     load_predictor, after the header parses
 //   train.loss     GnnPredictor::train loss computation (forces a NaN)
 //   train.epoch    GnnPredictor::train end-of-epoch (throws IoError;

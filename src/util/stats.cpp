@@ -31,19 +31,36 @@ double max_of(std::span<const double> v) {
   return *std::max_element(v.begin(), v.end());
 }
 
-double percentile(std::vector<double> v, double p) {
+double percentile(std::vector<double> v, double p) { return percentiles(std::move(v), {p})[0]; }
+
+std::vector<double> percentiles(std::vector<double> v, std::initializer_list<double> ps) {
   if (v.empty()) throw std::invalid_argument("percentile: empty vector");
-  const double idx = (p / 100.0) * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(idx));
-  const auto hi = static_cast<std::size_t>(std::ceil(idx));
-  const double frac = idx - static_cast<double>(lo);
-  // Linear-time selection: v[lo] becomes the lo-th order statistic, and
-  // the smallest value in the partition above it is the hi-th.
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(lo), v.end());
-  if (hi != lo)
-    std::iter_swap(v.begin() + static_cast<std::ptrdiff_t>(hi),
-                   std::min_element(v.begin() + static_cast<std::ptrdiff_t>(hi), v.end()));
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  if (!std::is_sorted(ps.begin(), ps.end()))
+    throw std::invalid_argument("percentiles: p must ascend");
+  const auto at = [&](std::size_t i) { return v.begin() + static_cast<std::ptrdiff_t>(i); };
+  std::vector<double> out;
+  out.reserve(ps.size());
+  // Linear-time selection. v[from, end) always holds exactly the order
+  // statistics from..n-1, and each selected v[k] is the k-th; so v[lo] is
+  // placed by nth_element over v[from, end), and the hi-th order statistic
+  // is the smallest value above it.
+  std::size_t from = 0;
+  for (const double p : ps) {
+    const double idx = (p / 100.0) * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(idx));
+    const auto hi = static_cast<std::size_t>(std::ceil(idx));
+    const double frac = idx - static_cast<double>(lo);
+    if (lo >= from) {
+      std::nth_element(at(from), at(lo), v.end());
+      from = lo + 1;
+    }
+    if (hi >= from) {
+      std::iter_swap(at(hi), std::min_element(at(hi), v.end()));
+      from = hi + 1;
+    }
+    out.push_back(v[lo] * (1.0 - frac) + v[hi] * frac);
+  }
+  return out;
 }
 
 double pearson(std::span<const double> a, std::span<const double> b) {

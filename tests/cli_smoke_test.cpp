@@ -132,6 +132,30 @@ TEST(CliSmokeTest, TrainEmitsValidMetricsAndTrace) {
   EXPECT_EQ(run(eval_cmd), 0) << eval_cmd;
 }
 
+// predict rebuilds the normaliser from the model's own scale and seed, so
+// a --scale on the command line changes none of its output.
+TEST(CliSmokeTest, PredictUsesTheModelsOwnScale) {
+  ASSERT_FALSE(g_cli_path.empty());
+  TempDir tmp;
+  const std::string quiet = " > /dev/null 2>&1";
+  const auto model = (tmp.path / "model.bin").string();
+  const auto suite = (tmp.path / "suite").string();
+  ASSERT_EQ(exit_code("\"" + g_cli_path + "\" train --save \"" + model +
+                      "\" --scale 0.05 --epochs 2 --seed 7" + quiet),
+            0);
+  ASSERT_EQ(exit_code("\"" + g_cli_path + "\" generate --out \"" + suite + "\" --scale 0.05" +
+                      quiet),
+            0);
+  const std::string predict =
+      "\"" + g_cli_path + "\" predict --model \"" + model + "\" --netlist \"" + suite + "/e1.sp\"";
+  const auto plain = (tmp.path / "plain.txt").string();
+  const auto scaled = (tmp.path / "scaled.txt").string();
+  ASSERT_EQ(exit_code(predict + " > \"" + plain + "\" 2>/dev/null"), 0);
+  ASSERT_EQ(exit_code(predict + " --scale 0.1 > \"" + scaled + "\" 2>/dev/null"), 0);
+  EXPECT_NE(read_file(plain).find("predictions for"), std::string::npos);
+  EXPECT_EQ(read_file(plain), read_file(scaled));
+}
+
 // The documented exit-code taxonomy: 2 = usage, 3 = bad input/artifact,
 // 4 = training diverged, 1 = internal. Scripts branch on these.
 TEST(CliSmokeTest, ExitCodeTaxonomy) {
@@ -249,6 +273,27 @@ TEST(CliSmokeTest, ShardPackTrainEvaluateRoundTrip) {
   }
   EXPECT_EQ(exit_code("\"" + g_cli_path + "\" evaluate --model \"" + str_model +
                       "\" --shards \"" + shards + "\"" + quiet),
+            3);
+
+  // So does a hand-edited manifest whose normaliser lacks node type 1's
+  // statistics: a typed error before any shard is read, not a crash.
+  const std::string manifest = shards + "/manifest.json";
+  std::string error;
+  auto doc = JsonValue::parse(read_file(manifest), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  JsonValue norm = JsonValue::array();
+  for (std::size_t t = 0; t < doc->at("normalizer").size(); ++t) {
+    JsonValue stats = doc->at("normalizer")[t];
+    if (t == 1) {
+      stats.set("mean", JsonValue::array());
+      stats.set("stdev", JsonValue::array());
+    }
+    norm.push_back(std::move(stats));
+  }
+  doc->set("normalizer", std::move(norm));
+  std::ofstream(manifest, std::ios::trunc) << doc->dump();
+  EXPECT_EQ(exit_code("\"" + g_cli_path + "\" train --save \"" + str_model + "\" --shards \"" +
+                      shards + "\" --epochs 1 --threads 1" + quiet),
             3);
 }
 

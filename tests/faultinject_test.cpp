@@ -89,12 +89,12 @@ TEST_F(AtomicFileFaultTest, FailedWriteLeavesPreviousFileIntact) {
     util::fault::configure(site);
     EXPECT_THROW(util::write_file_atomic(path_, "new contents"), util::IoError) << site;
     util::fault::configure("");
-    EXPECT_EQ(core::read_artifact_file(path_, "check"), "previous contents") << site;
+    EXPECT_EQ(util::read_artifact_file(path_, "check"), "previous contents") << site;
     EXPECT_EQ(files_in_dir(), 1u) << site << ": stray temp file left behind";
   }
   // With faults cleared the same write goes through.
   util::write_file_atomic(path_, "new contents");
-  EXPECT_EQ(core::read_artifact_file(path_, "check"), "new contents");
+  EXPECT_EQ(util::read_artifact_file(path_, "check"), "new contents");
 }
 
 TEST_F(AtomicFileFaultTest, TryVariantReportsFailureWithoutThrowing) {
@@ -178,7 +178,7 @@ class EnsembleLoadTest : public FaultInjectTest {
 
   void corrupt_member(std::size_t i) {
     const std::string mp = path_ + ".m" + std::to_string(i);
-    std::string bytes = core::read_artifact_file(mp, "test");
+    std::string bytes = util::read_artifact_file(mp, "test");
     bytes[bytes.size() / 2] ^= 0x40;
     util::write_file_atomic(mp, bytes);
   }

@@ -333,7 +333,7 @@ TEST_F(CheckpointFileTest, CorruptionMatrixIsTyped) {
   save_checkpoint(sample(), path_);
   std::string bytes;
   {
-    const std::string loaded = read_artifact_file(path_, "test");
+    const std::string loaded = util::read_artifact_file(path_, "test");
     bytes = loaded;
   }
   // Truncations sweep the whole file; bit flips sample it.

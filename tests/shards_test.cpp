@@ -2,14 +2,15 @@
 //
 // The contract under test: a packed-then-loaded sample is bit-identical
 // to the in-memory original (netlist, graph features, targets), the LRU
-// working set respects its byte budget, corrupt shards are rejected, and
-// streamed train/evaluate produce the same floats as the in-memory
-// overloads.
+// working set respects its byte budget, corrupt shards and hand-edited
+// manifests are rejected with typed errors, and streamed train/evaluate
+// produce the same floats as the in-memory overloads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,9 @@
 #include "dataset/dataset.h"
 #include "dataset/shards.h"
 #include "eval/drift.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/atomic_file.h"
 #include "util/errors.h"
 
 namespace paragraph {
@@ -162,6 +165,184 @@ TEST_F(ShardsTest, CorruptShardIsRejected) {
   EXPECT_NO_THROW(store.train(1));  // other shards unaffected
   fs::remove_all(dir);
 }
+
+// Copies the packed fixture into a scratch directory a test may damage.
+std::string copy_pack(const std::string& from, const char* name) {
+  const std::string dir = (fs::temp_directory_path() / name).string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::copy(from, dir, fs::copy_options::recursive | fs::copy_options::overwrite_existing);
+  return dir;
+}
+
+// The checkpoint corruption matrix (serialize_robustness_test), run over a
+// whole shard: truncations sweep the file and single-bit flips sample it.
+// Every damaged copy must fail typed, and the other shards keep loading.
+TEST_F(ShardsTest, CorruptionSweepIsTyped) {
+  const std::string dir = copy_pack(dir_, "paragraph_shards_sweep");
+  const std::string victim = dir + "/train_00000.shard";
+  const std::string bytes = util::read_artifact_file(victim, "test");
+  dataset::ShardStore store(dir);
+  for (std::size_t cut = 0; cut < bytes.size(); cut += 67) {
+    util::write_file_atomic(victim, bytes.substr(0, cut));
+    EXPECT_THROW(store.train(0), util::CorruptArtifactError) << "cut " << cut;
+  }
+  for (std::size_t pos = 0; pos < bytes.size(); pos += 131) {
+    std::string bad = bytes;
+    bad[pos] = static_cast<char>(bad[pos] ^ 0x01);
+    util::write_file_atomic(victim, bad);
+    EXPECT_THROW(store.train(0), util::CorruptArtifactError) << "flip " << pos;
+  }
+  // One byte past the size the manifest records.
+  util::write_file_atomic(victim, bytes + '\0');
+  EXPECT_THROW(store.train(0), util::CorruptArtifactError);
+
+  dataset::ShardStore fresh(dir);
+  for (std::size_t i = 1; i < fresh.num_train(); ++i) EXPECT_NO_THROW(fresh.train(i)) << i;
+  for (std::size_t i = 0; i < fresh.num_test(); ++i) EXPECT_NO_THROW(fresh.test(i)) << i;
+  fs::remove_all(dir);
+}
+
+using obs::JsonValue;
+
+JsonValue with(JsonValue obj, const std::string& key, JsonValue v) {
+  obj.set(key, std::move(v));
+  return obj;
+}
+
+JsonValue without(const JsonValue& obj, const std::string& key) {
+  JsonValue out = JsonValue::object();
+  for (const auto& [k, v] : obj.items())
+    if (k != key) out.set(k, v);
+  return out;
+}
+
+JsonValue with_at(const JsonValue& arr, std::size_t i, JsonValue v) {
+  JsonValue out = JsonValue::array();
+  for (std::size_t j = 0; j < arr.size(); ++j) out.push_back(j == i ? v : arr[j]);
+  return out;
+}
+
+JsonValue numbers(std::initializer_list<double> vs) {
+  JsonValue out = JsonValue::array();
+  for (const double v : vs) out.push_back(v);
+  return out;
+}
+
+// The manifest with its first train entry replaced.
+JsonValue with_entry(const JsonValue& root, JsonValue entry) {
+  return with(root, "train", with_at(root.at("train"), 0, std::move(entry)));
+}
+
+// The manifest with normaliser statistic `key` of node type `t` replaced.
+JsonValue with_stats(const JsonValue& root, std::size_t t, const char* key, JsonValue v) {
+  const JsonValue& norm = root.at("normalizer");
+  return with(root, "normalizer", with_at(norm, t, with(norm[t], key, std::move(v))));
+}
+
+// One hand edit of a packed manifest that ShardStore must refuse.
+struct ManifestEdit {
+  const char* name;
+  std::function<JsonValue(const JsonValue&)> apply;
+};
+
+void PrintTo(const ManifestEdit& edit, std::ostream* os) { *os << edit.name; }
+
+const JsonValue& entry0(const JsonValue& root) { return root.at("train")[0]; }
+
+const ManifestEdit kManifestEdits[] = {
+    {"EntryNotAnObject", [](const JsonValue& m) { return with_entry(m, 7); }},
+    {"MissingFile", [](const JsonValue& m) { return with_entry(m, without(entry0(m), "file")); }},
+    {"FileNotAString",
+     [](const JsonValue& m) { return with_entry(m, with(entry0(m), "file", 5)); }},
+    {"MissingName", [](const JsonValue& m) { return with_entry(m, without(entry0(m), "name")); }},
+    {"NameNotAString",
+     [](const JsonValue& m) { return with_entry(m, with(entry0(m), "name", JsonValue())); }},
+    {"MissingBytes", [](const JsonValue& m) { return with_entry(m, without(entry0(m), "bytes")); }},
+    {"BytesNotAnInteger",
+     [](const JsonValue& m) { return with_entry(m, with(entry0(m), "bytes", "6890")); }},
+    {"NegativeBytes",
+     [](const JsonValue& m) { return with_entry(m, with(entry0(m), "bytes", -1)); }},
+    {"MissingChecksum",
+     [](const JsonValue& m) { return with_entry(m, without(entry0(m), "checksum")); }},
+    {"ChecksumNotAString",
+     [](const JsonValue& m) { return with_entry(m, with(entry0(m), "checksum", 12345)); }},
+    {"ChecksumTooShort",
+     [](const JsonValue& m) { return with_entry(m, with(entry0(m), "checksum", "fd68e129")); }},
+    {"ChecksumNotHex",
+     [](const JsonValue& m) {
+       return with_entry(m, with(entry0(m), "checksum", "fd68e129bfc543zz"));
+     }},
+    {"NormalizerNotAnArray",
+     [](const JsonValue& m) { return with(m, "normalizer", JsonValue::object()); }},
+    {"NormalizerOneTypeShort",
+     [](const JsonValue& m) {
+       JsonValue norm = JsonValue::array();
+       for (std::size_t t = 0; t + 1 < graph::kNumNodeTypes; ++t)
+         norm.push_back(m.at("normalizer")[t]);
+       return with(m, "normalizer", std::move(norm));
+     }},
+    {"NormalizerEntryNotAnObject",
+     [](const JsonValue& m) { return with(m, "normalizer", with_at(m.at("normalizer"), 2, 1.0)); }},
+    {"EmptyMeanAndStdev",
+     [](const JsonValue& m) {
+       return with_stats(with_stats(m, 1, "mean", JsonValue::array()), 1, "stdev",
+                         JsonValue::array());
+     }},
+    {"ShortMean", [](const JsonValue& m) { return with_stats(m, 1, "mean", numbers({0, 0, 0})); }},
+    {"LongStdev", [](const JsonValue& m) { return with_stats(m, 0, "stdev", numbers({1, 1})); }},
+    {"MissingStdev",
+     [](const JsonValue& m) {
+       const JsonValue& norm = m.at("normalizer");
+       return with(m, "normalizer", with_at(norm, 3, without(norm[3], "stdev")));
+     }},
+    {"MeanNotANumber",
+     [](const JsonValue& m) {
+       const JsonValue& mean = m.at("normalizer")[1].at("mean");
+       return with_stats(m, 1, "mean", with_at(mean, 0, "x"));
+     }},
+    {"StdevBeyondFloatRange",
+     [](const JsonValue& m) { return with_stats(m, 0, "stdev", numbers({1e300})); }},
+};
+
+// A copy of the packed fixture whose manifest went through `apply`.
+std::string edited_pack(const std::string& from,
+                        const std::function<JsonValue(const JsonValue&)>& apply) {
+  const std::string dir = copy_pack(from, "paragraph_shards_manifest");
+  const std::string path = dir + "/" + dataset::kShardManifestName;
+  const auto doc = JsonValue::parse(util::read_artifact_file(path, "test"));
+  EXPECT_TRUE(doc.has_value());
+  util::write_file_atomic(path, apply(*doc).dump());
+  return dir;
+}
+
+// Control for the edits below: the parse/dump round trip alone keeps the
+// manifest loadable.
+TEST_F(ShardsTest, ManifestRoundTripThroughJsonLoads) {
+  const std::string dir = edited_pack(dir_, [](const JsonValue& m) { return m; });
+  dataset::ShardStore store(dir);
+  EXPECT_EQ(store.normalizer().fingerprint(), ds_->normalizer.fingerprint());
+  EXPECT_NO_THROW(store.train(0));
+  fs::remove_all(dir);
+}
+
+class ShardManifestTest : public ShardsTest,
+                          public ::testing::WithParamInterface<ManifestEdit> {};
+
+TEST_P(ShardManifestTest, EditIsCorruptArtifact) {
+  const std::string dir = edited_pack(dir_, GetParam().apply);
+  const std::string manifest = dir + "/" + dataset::kShardManifestName;
+  try {
+    dataset::ShardStore store(dir);
+    ADD_FAILURE() << "edited manifest accepted";
+  } catch (const util::CorruptArtifactError& e) {
+    EXPECT_NE(std::string(e.what()).find(manifest), std::string::npos) << e.what();
+  }
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Edits, ShardManifestTest, ::testing::ValuesIn(kManifestEdits),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 core::PredictorConfig small_config(dataset::TargetKind target) {
   core::PredictorConfig cfg;

@@ -197,6 +197,27 @@ TEST(Stats, PercentileIgnoresInputOrder) {
   }
 }
 
+// Several quantiles selected on one copy, each search limited to the part
+// above the previous selection, equal one fresh selection per quantile.
+TEST(Stats, PercentilesMatchOneSelectionPerQuantile) {
+  Rng rng(23);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{1000},
+                              (std::size_t{1} << 20) + 1}) {
+    std::vector<double> v(n);
+    for (double& x : v)
+      x = 0.25 * static_cast<double>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    const std::vector<double> all =
+        percentiles(v, {0.0, 1.0, 25.0, 50.0, 50.0, 95.0, 99.0, 99.9, 100.0});
+    std::size_t i = 0;
+    for (const double p : {0.0, 1.0, 25.0, 50.0, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+      const double one = percentile(v, p);
+      EXPECT_EQ(std::memcmp(&all[i++], &one, sizeof one), 0) << "n=" << n << " p=" << p;
+    }
+  }
+  EXPECT_THROW(percentiles({1, 2, 3}, {95.0, 50.0}), std::invalid_argument);
+  EXPECT_THROW(percentiles({}, {50.0}), std::invalid_argument);
+}
+
 TEST(Stats, Pearson) {
   const std::vector<double> a = {1, 2, 3, 4};
   const std::vector<double> b = {2, 4, 6, 8};

@@ -509,11 +509,8 @@ int cmd_predict(const util::ArgParser& args) {
   }
   const core::GnnPredictor predictor = core::load_predictor(model_path);
   // The saved model's normaliser statistics live in the dataset; rebuild it
-  // with the seed and scale recorded in the model config (an explicit
-  // --scale overrides, e.g. for models saved before scale was persisted).
-  const double scale =
-      args.has("scale") ? args.get_double("scale", 0.25) : predictor.config().scale;
-  const auto ds = dataset::build_dataset(predictor.config().seed, scale);
+  // with the seed and scale recorded in the model config.
+  const auto ds = dataset::build_dataset(predictor.config().seed, predictor.config().scale);
   const auto sample = sample_from_netlist(circuit::parse_spice_file(netlist_path));
   run_drift_check(predictor.feature_sketches(), std::span(&sample, 1),
                   args.get_double("drift-warn", eval::kDefaultDriftWarnThreshold));
@@ -642,7 +639,7 @@ int cmd_report(const util::ArgParser& args) {
   std::optional<obs::JsonValue> prior;
   if (args.has("prior")) {
     const std::string prior_path = args.get("prior");
-    const std::string text = core::read_artifact_file(prior_path, "report --prior");
+    const std::string text = util::read_artifact_file(prior_path, "report --prior");
     std::string err;
     prior = obs::JsonValue::parse(text, &err);
     if (!prior)
