@@ -158,11 +158,15 @@ CapEnsemble CapEnsemble::load(const std::string& path) {
     throw util::CorruptArtifactError(context + ": no usable member models");
   // The Algorithm 2 cascade needs strictly ascending ranges; rebuild the
   // range list from the survivors so a degraded ensemble stays coherent.
+  // Its callers pass one dataset for every member, so the survivors must
+  // share one normaliser.
   e.config_.max_vs_ff.clear();
   for (const auto& m : e.models_) {
     const double mv = m->config().max_v_ff;
     if (!e.config_.max_vs_ff.empty() && mv <= e.config_.max_vs_ff.back())
       throw util::CorruptArtifactError(context + ": member ranges not strictly ascending");
+    if (m->normalizer() != e.models_.front()->normalizer())
+      throw util::CorruptArtifactError(context + ": members carry different feature normalisers");
     e.config_.max_vs_ff.push_back(mv);
   }
   e.config_.base = e.models_.front()->config();

@@ -90,8 +90,9 @@ class CapEnsemble {
   // skipped with a warning and Algorithm 2 runs over the surviving ranges
   // (graceful degradation; `degraded()` reports it). Throws
   // util::CorruptArtifactError when the manifest is damaged, a surviving
-  // member is not a CAP model, the ranges are not strictly ascending, or
-  // no member survives; util::IoError when the manifest is unreadable.
+  // member is not a CAP model, the ranges are not strictly ascending, the
+  // survivors carry different feature normalisers, or no member survives;
+  // util::IoError when the manifest is unreadable.
   static CapEnsemble load(const std::string& path);
 
   // True when load() had to drop at least one member.

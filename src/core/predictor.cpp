@@ -192,11 +192,11 @@ struct GnnPredictor::Prepared {
 };
 
 std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
-    const dataset::FeatureNormalizer& norm, std::shared_ptr<const Sample> s) const {
+    std::shared_ptr<const Sample> s) const {
   const auto& types = dataset::target_node_types(config_.target);
   auto p = std::make_shared<Prepared>();
   p->plan = std::make_unique<gnn::GraphPlan>(gnn::GraphPlan::build(s->graph, needs_homo()));
-  p->batch = make_batch(norm, s->graph, p->plan.get());
+  p->batch = make_batch(normalizer_, s->graph, p->plan.get());
   bool any = false;
   for (std::size_t slot = 0; slot < types.size(); ++slot) {
     const auto& raw = s->target_values(config_.target, slot);
@@ -216,9 +216,11 @@ std::shared_ptr<const GnnPredictor::Prepared> GnnPredictor::prepare_sample(
   return p;
 }
 
-std::vector<std::size_t> GnnPredictor::fit_training_set(std::size_t n, const SampleAt& at) {
+std::vector<std::size_t> GnnPredictor::fit_training_set(const dataset::FeatureNormalizer& norm,
+                                                        std::size_t n, const SampleAt& at) {
   PARAGRAPH_TIMED_SCOPE("fit");
-  // Drift reference (persisted with the model, format v5) in two streaming
+  normalizer_ = norm;
+  // Drift reference (persisted with the model) in two streaming
   // passes, bit-identical to eval::sketch_graphs over the same samples.
   // The first pass also pools the targets in SuiteDataset::pooled_targets
   // order; the second, once the scaler is fit, picks the samples with any
@@ -254,14 +256,14 @@ std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallb
   const SampleAt at = [&ds](std::size_t i) {
     return std::shared_ptr<const Sample>(std::shared_ptr<const Sample>(), &ds.train[i]);
   };
-  const std::vector<std::size_t> eligible = fit_training_set(ds.train.size(), at);
+  const std::vector<std::size_t> eligible = fit_training_set(ds.normalizer, ds.train.size(), at);
 
   // Precompute the graph plan, batch, per-slot training indices, and
   // scaled targets once per sample; every epoch's forward reuses them.
   std::vector<std::shared_ptr<const Prepared>> prepared;
   {
     PARAGRAPH_TIMED_SCOPE("prepare");
-    for (const std::size_t i : eligible) prepared.push_back(prepare_sample(ds.normalizer, at(i)));
+    for (const std::size_t i : eligible) prepared.push_back(prepare_sample(at(i)));
   }
   PreparedSource src;
   src.count = prepared.size();
@@ -272,8 +274,8 @@ std::vector<double> GnnPredictor::train(const SuiteDataset& ds, const EpochCallb
 std::vector<double> GnnPredictor::train(dataset::ShardStore& store, const EpochCallback& on_epoch,
                                         const TrainOptions& options) {
   PARAGRAPH_TIMED_SCOPE("train");
-  const std::vector<std::size_t> eligible =
-      fit_training_set(store.num_train(), [&store](std::size_t i) { return store.train(i); });
+  const std::vector<std::size_t> eligible = fit_training_set(
+      store.normalizer(), store.num_train(), [&store](std::size_t i) { return store.train(i); });
 
   // LRU over prepared samples: plans/batches roughly double the
   // materialised sample, so price entries at 2x the store's estimator
@@ -296,7 +298,7 @@ std::vector<double> GnnPredictor::train(dataset::ShardStore& store, const EpochC
       return it->second.p;
     }
     const std::shared_ptr<const Sample> s = store.train(eligible[k]);
-    auto p = prepare_sample(store.normalizer(), s);
+    auto p = prepare_sample(s);
     const std::size_t bytes = dataset::ShardStore::sample_bytes(*s) * 2;
     cache_bytes += bytes;
     (*cache)[k] = Pin{p, bytes, tick};
@@ -737,7 +739,7 @@ EvalResult GnnPredictor::evaluate(dataset::ShardStore& store, bool test_split) c
   // in-memory overload runs, so predictions match it bit for bit.
   for (std::size_t si = 0; si < n; ++si) {
     const std::shared_ptr<const Sample> sp = test_split ? store.test(si) : store.train(si);
-    result.circuits[si] = evaluate_circuit(store.normalizer(), *sp);
+    result.circuits[si] = evaluate_circuit(normalizer_, *sp);
   }
   return result;
 }

@@ -47,9 +47,10 @@ struct PredictorConfig {
   // locks in the good optimum instead of bouncing out of it late.
   float lr_final_fraction = 0.02f;
   std::uint64_t seed = 1;
-  // Dataset-generation scale the model was trained against. Persisted by
-  // core/serialize so predict/evaluate can rebuild the exact normaliser
-  // statistics without the caller re-supplying --scale.
+  // Dataset-generation scale of the synthetic suite the model was trained
+  // on. Persisted by core/serialize; with `seed` it names the suite
+  // evaluate and report score by default. Normalisation never depends on
+  // it: the model carries its own statistics (GnnPredictor::normalizer).
   double scale = 0.25;
   // Graph-level data parallelism: number of circuits whose forward/backward
   // run concurrently per optimiser step, with gradients merged in circuit
@@ -194,9 +195,10 @@ class GnnPredictor {
                       const std::vector<dataset::Sample>& samples) const;
 
   // Out-of-core evaluation over the store's test (default) or train
-  // split. Serial over circuits so peak memory stays bounded by the
+  // split, normalised with normalizer() rather than the store's
+  // statistics. Serial over circuits so peak memory stays bounded by the
   // store's working set; per-circuit predictions are bit-identical to
-  // the in-memory overload.
+  // the in-memory overload given a dataset carrying normalizer().
   EvalResult evaluate(dataset::ShardStore& store, bool test_split = true) const;
 
   // Raw-unit predictions for ALL nodes of the target's node types,
@@ -238,10 +240,17 @@ class GnnPredictor {
   void set_scaler(const TargetScaler& s) { scaler_ = s; }
 
   // Training-set feature-distribution sketches (drift reference). Filled
-  // by train() and persisted by core/serialize (model format v5); empty
-  // for an untrained model.
+  // by train() and persisted by core/serialize; empty for an untrained
+  // model.
   const std::vector<obs::FeatureSketch>& feature_sketches() const { return sketches_; }
   void set_feature_sketches(std::vector<obs::FeatureSketch> s) { sketches_ = std::move(s); }
+
+  // The training set's feature statistics: train() takes them from its
+  // data, core/serialize persists them (model format v6), and every
+  // loader normalises its inputs with them. Unfitted for an untrained
+  // model.
+  const dataset::FeatureNormalizer& normalizer() const { return normalizer_; }
+  void set_normalizer(dataset::FeatureNormalizer n) { normalizer_ = std::move(n); }
 
   // Trainable parameters in deterministic construction order (embedding
   // model first, then the FC head); used by the optimiser and by
@@ -265,14 +274,15 @@ class GnnPredictor {
   // Training sample i of n; in-memory training hands out non-owning
   // aliases, streamed training the store's materialised samples.
   using SampleAt = std::function<std::shared_ptr<const dataset::Sample>(std::size_t)>;
-  // The pre-epoch fit both train() overloads share: drift sketches and
-  // target scaler from the n samples behind `at`. Returns the indices of
-  // the samples with any in-range target, in order.
-  std::vector<std::size_t> fit_training_set(std::size_t n, const SampleAt& at);
+  // The pre-epoch fit both train() overloads share: adopts the data's
+  // normaliser `norm`, then fits drift sketches and target scaler from the
+  // n samples behind `at`. Returns the indices of the samples with any
+  // in-range target, in order.
+  std::vector<std::size_t> fit_training_set(const dataset::FeatureNormalizer& norm, std::size_t n,
+                                            const SampleAt& at);
   // Throws std::logic_error when no target of the sample is in the
   // scaler's range (fit_training_set filters those samples out).
-  std::shared_ptr<const Prepared> prepare_sample(const dataset::FeatureNormalizer& norm,
-                                                 std::shared_ptr<const dataset::Sample> s) const;
+  std::shared_ptr<const Prepared> prepare_sample(std::shared_ptr<const dataset::Sample> s) const;
   // The one inference tail: the FC head over each target type slot's
   // embeddings, inverse-scaled, concatenated in (slot, node) order.
   std::vector<float> head_predictions(const graph::HeteroGraph& g,
@@ -284,6 +294,7 @@ class GnnPredictor {
   std::uint64_t model_key_ = 0;
   TargetScaler scaler_;
   std::vector<obs::FeatureSketch> sketches_;
+  dataset::FeatureNormalizer normalizer_;
   std::unique_ptr<gnn::EmbeddingModel> embedding_;
   std::unique_ptr<nn::Mlp> head_;
 };

@@ -13,15 +13,6 @@ using dataset::Sample;
 using dataset::SuiteDataset;
 using eval::QualityAccumulator;
 
-// Object name for a node of `type` (net or device) via the graph's origin
-// mapping back into the netlist.
-std::string node_name(const Sample& s, graph::NodeType type, std::size_t local) {
-  const std::int32_t origin = s.graph.origin(type, local);
-  if (type == graph::NodeType::kNet)
-    return s.netlist.net(static_cast<circuit::NetId>(origin)).name;
-  return s.netlist.device(static_cast<circuit::DeviceId>(origin)).name;
-}
-
 void add_edge_type_buckets(QualityAccumulator& q, std::uint64_t mask, float truth, float pred) {
   const auto& registry = graph::edge_type_registry();
   for (std::size_t e = 0; e < registry.size() && e < 64; ++e) {
@@ -71,7 +62,7 @@ eval::QualityAccumulator collect_quality(const CapEnsemble& ensemble, const Suit
         q.add_calibration(m, lo, hi, t, p);
       }
       if (i < masks.size()) add_edge_type_buckets(q, masks[i], t, p);
-      q.note_net(s.name, node_name(s, graph::NodeType::kNet, i), t, p);
+      q.note_net(s.name, dataset::node_name(s, graph::NodeType::kNet, i), t, p);
     }
     for (std::size_t k = 0; k < attr.pairs.size(); ++k)
       q.add_overlap_stats(static_cast<int>(k), attr.pairs[k].checked,
@@ -107,7 +98,7 @@ eval::QualityAccumulator collect_quality(const GnnPredictor& model, const SuiteD
         const auto local = static_cast<std::size_t>(cp.node_index[i]);
         if (slot < masks.size() && local < masks[slot].size())
           add_edge_type_buckets(q, masks[slot][local], t, p);
-        q.note_net(s.name, node_name(s, types[slot], local), t, p);
+        q.note_net(s.name, dataset::node_name(s, types[slot], local), t, p);
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "core/serialize.h"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -12,12 +13,11 @@ namespace paragraph::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50477230;  // "PGr0"
-// Version history (this build reads version 5 only; any other version is
+// Version history (this build reads version 6 only; any other version is
 // rejected as CorruptArtifactError):
 //   1: initial format
 //   2: adds PredictorConfig::scale after the seed (the dataset-generation
-//      scale used at training time, so predict/evaluate rebuild the same
-//      normaliser statistics)
+//      scale used at training time)
 //   3: adds PredictorConfig::batch_size and train_threads after the scale
 //      (the graph-level data-parallel batch and the runtime thread count
 //      the model was trained with)
@@ -28,7 +28,11 @@ constexpr std::uint32_t kMagic = 0x50477230;  // "PGr0"
 //      reference, eval/drift.h) after the parameter data and before the
 //      checksum. Everything up to the parameter data keeps its v3/v4
 //      byte offsets.
-constexpr std::uint32_t kVersion = 5;
+//   6: inserts the feature normaliser block (a matrix block of per node
+//      type 1 x feature_dim mean and stdev rows) between the parameter
+//      data and the sketch block, so a loaded model normalises its inputs
+//      without regenerating its training suite. Every earlier offset holds.
+constexpr std::uint32_t kVersion = 6;
 
 // Sane maxima for decoded dims/counts. A corrupt or adversarial file must
 // not be able to drive multi-gigabyte allocations before the checks
@@ -50,6 +54,45 @@ constexpr std::uint32_t kMaxTargetKind = static_cast<std::uint32_t>(dataset::kNu
 double finite_or_corrupt(double v, util::ByteReader& r, const char* what) {
   if (!std::isfinite(v)) r.corrupt(std::string("non-finite ") + what);
   return v;
+}
+
+// The normaliser block: per node type t, matrices 2t (mean) and 2t + 1
+// (stdev), each 1 x feature_dim(t), or all 1 x 0 when unfitted.
+std::vector<nn::Matrix> normalizer_block(const dataset::FeatureNormalizer& norm) {
+  std::vector<nn::Matrix> ms;
+  for (const auto& ts : norm.state()) {
+    ms.emplace_back(1, ts.mean.size(), ts.mean);
+    ms.emplace_back(1, ts.stdev.size(), ts.stdev);
+  }
+  return ms;
+}
+
+dataset::FeatureNormalizer read_normalizer_block(util::ByteReader& r) {
+  const std::vector<nn::Matrix> ms = read_matrices(r);
+  if (ms.size() != 2 * graph::kNumNodeTypes)
+    r.corrupt("normalizer block has " + std::to_string(ms.size()) + " matrices, expected " +
+              std::to_string(2 * graph::kNumNodeTypes));
+  const bool fitted = ms[0].size() != 0;
+  std::array<dataset::FeatureNormalizer::TypeStats, graph::kNumNodeTypes> state;
+  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
+    // FeatureNormalizer::apply indexes both rows by feature column.
+    const std::size_t dim = fitted ? graph::feature_dim(static_cast<graph::NodeType>(t)) : 0;
+    const nn::Matrix& mean = ms[2 * t];
+    const nn::Matrix& stdev = ms[2 * t + 1];
+    for (const nn::Matrix* m : {&mean, &stdev})
+      if (m->rows() != 1 || m->cols() != dim)
+        r.corrupt("normalizer row for node type " + std::to_string(t) + " is " +
+                  std::to_string(m->rows()) + "x" + std::to_string(m->cols()) + ", expected 1x" +
+                  std::to_string(dim));
+    for (std::size_t c = 0; c < dim; ++c) {
+      if (!std::isfinite(mean.data()[c])) r.corrupt("non-finite normalizer mean");
+      if (!(std::isfinite(stdev.data()[c]) && stdev.data()[c] > 0.0f))
+        r.corrupt("non-finite or non-positive normalizer stdev");
+    }
+    state[t] = {std::vector<float>(mean.data(), mean.data() + dim),
+                std::vector<float>(stdev.data(), stdev.data() + dim)};
+  }
+  return dataset::FeatureNormalizer::from_state(state);
 }
 
 }  // namespace
@@ -77,7 +120,9 @@ std::vector<nn::Matrix> read_matrices(util::ByteReader& r) {
     // cannot drive an allocation larger than the bytes actually present.
     const std::string_view data = r.bytes(rows * cols * sizeof(float), "matrix data");
     std::vector<float> values(rows * cols);
-    std::memcpy(values.data(), data.data(), data.size());
+    // An empty matrix (an untrained model's normaliser rows) has a null
+    // data(), which memcpy must not be handed even for zero bytes.
+    if (!values.empty()) std::memcpy(values.data(), data.data(), data.size());
     ms.emplace_back(rows, cols, std::move(values));
   }
   return ms;
@@ -114,8 +159,9 @@ std::string predictor_to_bytes(const GnnPredictor& predictor) {
   std::vector<nn::Matrix> params;
   for (const auto& p : predictor.parameters()) params.push_back(p.value());
   write_matrices(w, params);
-  // v5 sketch block (drift reference). Placed after the parameter data so
-  // everything before it keeps its historical byte offsets.
+  write_matrices(w, normalizer_block(predictor.normalizer()));
+  // Sketch block (drift reference). Placed after the parameter data and
+  // the normaliser so everything before them keeps its historical offsets.
   const auto& sketches = predictor.feature_sketches();
   w.pod(static_cast<std::uint64_t>(sketches.size()));
   for (const auto& sk : sketches) {
@@ -199,6 +245,7 @@ GnnPredictor predictor_from_bytes(std::string_view bytes, const std::string& con
                 "x" + std::to_string(m.cols()) + ")");
     m = std::move(values[i]);
   }
+  predictor.set_normalizer(read_normalizer_block(r));
   // Sketch block: the drift reference the model was trained against.
   const auto num_sketches =
       r.bounded(r.pod<std::uint64_t>("sketch count"), 0, kMaxSketches, "sketch count");

@@ -1,12 +1,13 @@
-// Binary persistence for trained predictors (model format v5).
+// Binary persistence for trained predictors (model format v6).
 //
 // A trained GnnPredictor is stored as its PredictorConfig (so the exact
 // architecture can be reconstructed), the fitted TargetScaler state, every
-// parameter matrix in deterministic construction order and the training-
-// set feature sketches. Files carry a magic header and a format version
-// and end in the checksum trailer of util/bytes.h; they are written and
-// read through util/atomic_file.h. Loads validate the parameter count and
-// shapes against the freshly constructed model.
+// parameter matrix in deterministic construction order, the training-set
+// feature normaliser (so a load never regenerates the training data) and
+// the training-set feature sketches. Files carry a magic header and a
+// format version and end in the checksum trailer of util/bytes.h; they
+// are written and read through util/atomic_file.h. Loads validate the
+// parameter count and shapes against the freshly constructed model.
 #pragma once
 
 #include <span>
@@ -26,11 +27,11 @@ namespace paragraph::core {
 void save_predictor(const GnnPredictor& predictor, const std::string& path);
 
 // Reconstructs the architecture from the stored config and restores the
-// trained weights and scaler. Every read is length-checked, dims/counts
-// are bounded against sane maxima, and the trailing payload checksum is
-// verified; corrupt files raise util::CorruptArtifactError, unreadable
-// ones util::IoError. Only format 5 loads; files of any other version
-// raise util::CorruptArtifactError naming it.
+// trained weights, scaler and normaliser. Every read is length-checked,
+// dims/counts are bounded against sane maxima, and the trailing payload
+// checksum is verified; corrupt files raise util::CorruptArtifactError,
+// unreadable ones util::IoError. Only format 6 loads; files of any other
+// version raise util::CorruptArtifactError naming it.
 GnnPredictor load_predictor(const std::string& path);
 
 // In-memory forms of the same format; the checkpoint writer embeds the

@@ -178,6 +178,12 @@ std::uint64_t FeatureNormalizer::fingerprint() const {
   return util::fnv1a64(w.view());
 }
 
+const std::string& node_name(const Sample& s, NodeType type, std::size_t local) {
+  const std::int32_t origin = s.graph.origin(type, local);
+  if (type == NodeType::kNet) return s.netlist.net(static_cast<circuit::NetId>(origin)).name;
+  return s.netlist.device(static_cast<circuit::DeviceId>(origin)).name;
+}
+
 Sample make_sample(Netlist nl) {
   PARAGRAPH_TIMED_SCOPE("sample");
   Sample s;

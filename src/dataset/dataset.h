@@ -76,10 +76,13 @@ class FeatureNormalizer {
   // would. Used to key memoized embeddings (gnn::PlanCache).
   std::uint64_t fingerprint() const;
 
+  bool operator==(const FeatureNormalizer&) const = default;
+
  private:
   struct Stats {
     std::vector<float> mean;
     std::vector<float> stdev;
+    bool operator==(const Stats&) const = default;
   };
   std::array<Stats, graph::kNumNodeTypes> stats_{};
   bool fitted_ = false;
@@ -97,6 +100,10 @@ struct Sample {
     return targets[static_cast<std::size_t>(t)].at(type_slot);
   }
 };
+
+// Netlist name of node `local` of `type` (a net for kNet, a device
+// otherwise), through the graph's origin mapping.
+const std::string& node_name(const Sample& s, graph::NodeType type, std::size_t local);
 
 struct SuiteDataset {
   std::vector<Sample> train;

@@ -7,7 +7,7 @@
 // one bin) plus whole-graph stats (node/edge/net counts). Called without
 // a reference it fits bin edges from the observed range — this is the
 // train-time path whose result is persisted into the model artifact
-// (format v5). Called with a reference it produces bin-compatible live
+// (core/serialize). Called with a reference it produces bin-compatible live
 // sketches, which is what predict/evaluate maintain over incoming graphs.
 //
 // check_drift() scores live vs reference per feature (PSI), publishes

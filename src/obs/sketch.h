@@ -5,7 +5,7 @@
 // plus a fixed-bin histogram (with explicit under/overflow bins) whose
 // edges are chosen once — at training time — and then reused verbatim by
 // every later observer, so a reference sketch persisted inside a model
-// artifact (format v5, core/serialize) and a live sketch built over
+// artifact (core/serialize) and a live sketch built over
 // incoming inference graphs are bin-compatible by construction.
 //
 // Divergence is scored per feature with the population stability index

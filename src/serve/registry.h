@@ -2,11 +2,11 @@
 //
 // A ModelBundle is one immutable generation of everything a prediction
 // needs: the CAP ensemble and/or single-target models loaded from disk,
-// plus (per distinct training seed/scale) the feature normaliser those
-// models were fitted against. Workers snapshot the current bundle
-// (shared_ptr copy) once per micro-batch, so a reload never mutates
-// state an in-flight batch is reading — the old generation stays alive
-// until its last batch finishes, then the shared_ptr frees it.
+// each with the feature normaliser its model file carries. Workers
+// snapshot the current bundle (shared_ptr copy) once per micro-batch, so
+// a reload never mutates state an in-flight batch is reading — the old
+// generation stays alive until its last batch finishes, then the
+// shared_ptr frees it.
 //
 // reload() rebuilds a bundle from the same configured paths through the
 // crash-safe loaders (util checksummed readers). Failure semantics are
@@ -16,13 +16,8 @@
 //     succeeds and the new generation answers from the survivors;
 //   * a corrupt manifest or model file fails the reload — the previous
 //     generation keeps serving and the failure is logged, never fatal.
-//
-// Normaliser statistics depend only on (seed, scale) of the training
-// dataset, so they are cached across reloads: swapping model weights does
-// not pay the dataset rebuild again unless the training config changed.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -44,9 +39,8 @@ struct ModelBundle {
   std::uint64_t generation = 0;
   std::optional<core::CapEnsemble> ensemble;
   std::vector<core::GnnPredictor> models;
-  // Skinny datasets (normaliser only; no samples): dataset(0) serves the
-  // ensemble, dataset(1 + i) serves models[i]. Entries with identical
-  // (seed, scale) share one underlying normaliser rebuild.
+  // Skinny datasets (no samples) holding the loaded models' normalisers:
+  // dataset(0) serves the ensemble, dataset(1 + i) serves models[i].
   std::vector<dataset::SuiteDataset> datasets;
   bool degraded = false;
   std::vector<core::CapEnsemble::DroppedMember> dropped;
@@ -71,19 +65,15 @@ class ModelRegistry {
 
  private:
   std::shared_ptr<const ModelBundle> build_bundle(std::uint64_t generation);
-  // Normaliser for (seed, scale), built once and reused across
-  // generations. Caller holds reload_mu_.
-  const dataset::FeatureNormalizer& normalizer_for(std::uint64_t seed, double scale);
 
   const RegistryConfig config_;
   mutable std::mutex mu_;  // guards current_ swap/read
   // Serialises whole reloads, which may come from any thread (the daemon's
   // I/O loop or a caller of the public Server::registry()): build_bundle
-  // touches next_generation_ and the normaliser cache. Never held with mu_.
+  // touches next_generation_. Never held with mu_.
   std::mutex reload_mu_;
   std::shared_ptr<const ModelBundle> current_;
   std::uint64_t next_generation_ = 1;  // guarded by reload_mu_
-  std::map<std::pair<std::uint64_t, double>, dataset::FeatureNormalizer> normalizer_cache_;
 };
 
 }  // namespace paragraph::serve

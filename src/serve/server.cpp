@@ -121,14 +121,9 @@ obs::JsonValue named_predictions(const dataset::Sample& sample, dataset::TargetK
                                  const std::vector<float>& preds) {
   obs::JsonValue out = obs::JsonValue::object();
   std::size_t k = 0;
-  for (const auto nt : dataset::target_node_types(target)) {
-    for (const auto origin : sample.graph.origins(nt)) {
-      const std::string& name = nt == graph::NodeType::kNet
-                                    ? sample.netlist.net(origin).name
-                                    : sample.netlist.device(origin).name;
-      if (k < preds.size()) out.set(name, static_cast<double>(preds[k++]));
-    }
-  }
+  for (const auto nt : dataset::target_node_types(target))
+    for (std::size_t i = 0; i < sample.graph.num_nodes(nt) && k < preds.size(); ++i)
+      out.set(dataset::node_name(sample, nt, i), static_cast<double>(preds[k++]));
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Binary framing shared by every artifact format: model files (format v5),
+// Binary framing shared by every artifact format: model files (format v6),
 // training checkpoints, dataset shards and the golden test fixtures.
 //
 // ByteWriter appends PODs and raw bytes to an in-memory payload. ByteReader

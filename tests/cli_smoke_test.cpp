@@ -11,6 +11,7 @@
 // this test provides its own main() instead of linking gtest_main.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,8 @@
 #include <sys/wait.h>
 #endif
 
+#include "core/serialize.h"
+#include "dataset/dataset.h"
 #include "obs/json.h"
 
 namespace {
@@ -132,8 +135,8 @@ TEST(CliSmokeTest, TrainEmitsValidMetricsAndTrace) {
   EXPECT_EQ(run(eval_cmd), 0) << eval_cmd;
 }
 
-// predict rebuilds the normaliser from the model's own scale and seed, so
-// a --scale on the command line changes none of its output.
+// predict normalises with the statistics the model file carries, so a
+// --scale on the command line changes none of its output.
 TEST(CliSmokeTest, PredictUsesTheModelsOwnScale) {
   ASSERT_FALSE(g_cli_path.empty());
   TempDir tmp;
@@ -154,6 +157,92 @@ TEST(CliSmokeTest, PredictUsesTheModelsOwnScale) {
   ASSERT_EQ(exit_code(predict + " --scale 0.1 > \"" + scaled + "\" 2>/dev/null"), 0);
   EXPECT_NE(read_file(plain).find("predictions for"), std::string::npos);
   EXPECT_EQ(read_file(plain), read_file(scaled));
+}
+
+// A model file carries the normaliser of the data it was trained on. Two
+// `train --shards` runs on one pack that differ only in --scale (which
+// names the default evaluation suite, not the shards' statistics) write
+// files that differ only in that field, and predict the same values.
+TEST(CliSmokeTest, ShardModelsPredictAlikeWhateverTheirScaleField) {
+  ASSERT_FALSE(g_cli_path.empty());
+  TempDir tmp;
+  const std::string cli = "\"" + g_cli_path + "\"";
+  const std::string quiet = " > /dev/null 2>&1";
+  const auto shards = (tmp.path / "shards").string();
+  const auto suite = (tmp.path / "suite").string();
+  ASSERT_EQ(exit_code(cli + " dataset pack --out \"" + shards + "\" --scale 0.05 --seed 7" + quiet),
+            0);
+  ASSERT_EQ(exit_code(cli + " generate --out \"" + suite + "\" --scale 0.05 --seed 7" + quiet), 0);
+  std::string model[2], printed[2];
+  for (int i = 0; i < 2; ++i) {
+    const auto path = (tmp.path / ("m" + std::to_string(i) + ".bin")).string();
+    const auto out = (tmp.path / ("p" + std::to_string(i) + ".txt")).string();
+    ASSERT_EQ(exit_code(cli + " train --save \"" + path + "\" --shards \"" + shards +
+                        "\" --seed 7 --epochs 2 --threads 1" + (i == 0 ? " --scale 0.05" : "") +
+                        quiet),
+              0);
+    ASSERT_EQ(exit_code(cli + " predict --model \"" + path + "\" --netlist \"" + suite +
+                        "/e1.sp\" > \"" + out + "\" 2>/dev/null"),
+              0);
+    model[i] = read_file(path);
+    printed[i] = read_file(out);
+  }
+  // PredictorConfig::scale is the double at byte 72; the last 8 bytes are
+  // the checksum over everything before them.
+  constexpr std::size_t kOffScale = 72;
+  ASSERT_EQ(model[0].size(), model[1].size());
+  EXPECT_NE(model[0].substr(kOffScale, 8), model[1].substr(kOffScale, 8));
+  for (std::size_t b = 0; b < model[0].size() - 8; ++b) {
+    if (b < kOffScale || b >= kOffScale + 8) {
+      ASSERT_EQ(model[0][b], model[1][b]) << "byte " << b;
+    }
+  }
+  EXPECT_NE(printed[0].find("predictions for"), std::string::npos);
+  EXPECT_EQ(printed[0], printed[1]);
+}
+
+// evaluate --scale scores another suite but normalises it with the
+// statistics the model was trained with: every worst net's prediction is
+// the in-process one on build_dataset(7, 0.08) normalised with
+// build_dataset(7, 0.05)'s statistics.
+TEST(CliSmokeTest, EvaluateOverrideKeepsTheTrainingNormaliser) {
+  ASSERT_FALSE(g_cli_path.empty());
+  TempDir tmp;
+  const std::string cli = "\"" + g_cli_path + "\"";
+  const std::string quiet = " > /dev/null 2>&1";
+  const auto model = (tmp.path / "model.bin").string();
+  const auto quality = (tmp.path / "q.json").string();
+  ASSERT_EQ(exit_code(cli + " train --save \"" + model +
+                      "\" --scale 0.05 --seed 7 --epochs 2 --threads 1" + quiet),
+            0);
+  ASSERT_EQ(exit_code(cli + " evaluate --model \"" + model + "\" --scale 0.08 --quality-out \"" +
+                      quality + "\"" + quiet),
+            0);
+  std::string error;
+  const auto qdoc = JsonValue::parse(read_file(quality), &error);
+  ASSERT_TRUE(qdoc.has_value()) << error;
+  const JsonValue& worst = qdoc->at("worst_nets");
+  ASSERT_GT(worst.size(), 0u);
+
+  namespace pg = paragraph;
+  const pg::core::GnnPredictor predictor = pg::core::load_predictor(model);
+  pg::dataset::SuiteDataset ds = pg::dataset::build_dataset(7, 0.08);
+  ds.normalizer = pg::dataset::build_dataset(7, 0.05).normalizer;
+  for (const JsonValue& w : worst.elements()) {
+    const std::string& circuit = w.at("circuit").as_string();
+    const std::string& net = w.at("net").as_string();
+    const auto s = std::find_if(ds.test.begin(), ds.test.end(),
+                                [&](const pg::dataset::Sample& t) { return t.name == circuit; });
+    ASSERT_NE(s, ds.test.end()) << circuit;
+    const std::vector<float> pred = predictor.predict_all(ds, *s);
+    const auto& nets = s->graph.origins(pg::graph::NodeType::kNet);
+    const auto i = std::find_if(nets.begin(), nets.end(), [&](std::int32_t id) {
+      return s->netlist.net(id).name == net;
+    });
+    ASSERT_NE(i, nets.end()) << circuit << "/" << net;
+    EXPECT_EQ(static_cast<float>(w.at("pred").as_double()), pred[i - nets.begin()])
+        << circuit << "/" << net;
+  }
 }
 
 // The documented exit-code taxonomy: 2 = usage, 3 = bad input/artifact,

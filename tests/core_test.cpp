@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "circuit/spice_parser.h"
 #include "core/ensemble.h"
 #include "core/learners.h"
 #include "core/predictor.h"
+#include "core/serialize.h"
 #include "gnn/plan_cache.h"
 #include "graph/hetero_graph.h"
+#include "util/errors.h"
 
 namespace paragraph::core {
 namespace {
@@ -289,6 +292,42 @@ TEST(CapEnsemble, Algorithm2PrefersHigherRangeModels) {
       EXPECT_FLOAT_EQ(ens_pred[i], low_pred[i]);
     }
   }
+}
+
+// Algorithm 2 normalises every member with one set of statistics, so a
+// manifest whose surviving members were fitted on different data is
+// corrupt; dropping the odd member out leaves a consistent ensemble.
+TEST(CapEnsemble, LoadRejectsMembersWithDifferentNormalisers) {
+  EnsembleConfig cfg;
+  cfg.max_vs_ff = {1.0, 10.0, 100.0};
+  cfg.base.epochs = 1;
+  cfg.base.num_layers = 1;
+  cfg.base.embed_dim = 4;
+  CapEnsemble ens(cfg);
+  ens.train(tiny_dataset());
+  const std::string path = ::testing::TempDir() + "core_test_normalisers.bin";
+  ens.save(path);
+  const CapEnsemble loaded = CapEnsemble::load(path);
+  for (std::size_t i = 0; i < loaded.num_models(); ++i)
+    EXPECT_TRUE(loaded.model(i).normalizer() == tiny_dataset().normalizer) << "member " << i;
+
+  // Member 1 refitted on the test split alone.
+  const std::string m1 = path + ".m1";
+  GnnPredictor odd = load_predictor(m1);
+  std::vector<const graph::HeteroGraph*> graphs;
+  for (const auto& s : tiny_dataset().test) graphs.push_back(&s.graph);
+  dataset::FeatureNormalizer refit;
+  refit.fit(graphs);
+  ASSERT_FALSE(refit == tiny_dataset().normalizer);
+  odd.set_normalizer(refit);
+  save_predictor(odd, m1);
+  EXPECT_THROW(CapEnsemble::load(path), util::CorruptArtifactError);
+
+  std::remove(m1.c_str());
+  const CapEnsemble survivors = CapEnsemble::load(path);
+  EXPECT_TRUE(survivors.degraded());
+  EXPECT_EQ(survivors.num_models(), 2u);
+  for (const char* suffix : {"", ".m0", ".m2"}) std::remove((path + suffix).c_str());
 }
 
 TEST(Learners, NamesAndList) {

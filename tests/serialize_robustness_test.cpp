@@ -1,11 +1,13 @@
 // Corrupt-artifact matrix for the model-file and checkpoint formats:
-// truncation at every boundary, bit flips anywhere in a v5 file, flipped
+// truncation at every boundary, bit flips anywhere in a v6 file, flipped
 // magic/version, rejection of older format versions, oversized dims and
-// hostile fields inside the sketch block (reached by restamping the
-// checksum), and round-trip integrity. Every rejection must be the typed
-// error the API documents — never a crash, hang, or silent misload.
+// hostile fields inside the normaliser and sketch blocks (reached by
+// restamping the checksum), and round-trip integrity. Every rejection must
+// be the typed error the API documents — never a crash, hang, or silent
+// misload.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,7 @@
 
 #include "core/checkpoint.h"
 #include "core/serialize.h"
+#include "graph/hetero_graph.h"
 #include "obs/sketch.h"
 #include "util/atomic_file.h"
 #include "util/bytes.h"
@@ -66,6 +69,38 @@ std::string sketch_model_bytes() {
   GnnPredictor p(pc);
   p.set_feature_sketches(sample_sketches());
   return predictor_to_bytes(p);
+}
+
+// A fitted normaliser with every mean `m` and every stdev `s`, each row
+// as wide as its node type's features.
+dataset::FeatureNormalizer uniform_normalizer(float m, float s) {
+  std::array<dataset::FeatureNormalizer::TypeStats, graph::kNumNodeTypes> st;
+  for (std::size_t t = 0; t < graph::kNumNodeTypes; ++t) {
+    const std::size_t dim = graph::feature_dim(static_cast<graph::NodeType>(t));
+    st[t] = {std::vector<float>(dim, m), std::vector<float>(dim, s)};
+  }
+  return dataset::FeatureNormalizer::from_state(st);
+}
+
+std::string normalizer_model_bytes(const dataset::FeatureNormalizer& norm) {
+  PredictorConfig pc;
+  pc.target = dataset::TargetKind::kCap;
+  pc.embed_dim = 4;
+  pc.num_layers = 1;
+  pc.fc_layers = 1;
+  GnnPredictor p(pc);
+  p.set_normalizer(norm);
+  return predictor_to_bytes(p);
+}
+
+// An unfitted normaliser block: the count and 2 x kNumNodeTypes empty 1x0
+// matrices (u64 rows, u64 cols each).
+constexpr std::size_t kEmptyNormalizerBlock = 8 + 2 * graph::kNumNodeTypes * 16;
+
+// The normaliser block starts where the parameter data ends; in the tiny
+// (untrained) model the empty sketch count and the checksum follow it.
+std::size_t normalizer_block_offset() {
+  return tiny_model_bytes().size() - 2 * sizeof(std::uint64_t) - kEmptyNormalizerBlock;
 }
 
 // Recomputes the trailing checksum after a test mutated the payload, so
@@ -183,7 +218,7 @@ TEST(SerializeRobustness, RejectsTrailingBytes) {
 TEST(SerializeRobustness, V4FilesAreRejected) {
   // A v4 file is the v5 layout minus the sketch block: drop the empty
   // sketch count (8 bytes before the checksum), stamp version 4, restamp.
-  // Only format 5 loads, and the error names the version it found.
+  // Only format 6 loads, and the error names the version it found.
   std::string bytes = tiny_model_bytes();
   bytes.erase(bytes.size() - 2 * sizeof(std::uint64_t), sizeof(std::uint64_t));
   patch<std::uint32_t>(bytes, kOffVersion, 4);
@@ -195,6 +230,77 @@ TEST(SerializeRobustness, V4FilesAreRejected) {
     EXPECT_NE(std::string(e.what()).find("unsupported format version 4"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(SerializeRobustness, V5FilesAreRejected) {
+  // A v5 file is the v6 layout minus the normaliser block: cut the
+  // untrained model's empty block, stamp version 5, restamp.
+  std::string bytes = tiny_model_bytes();
+  bytes.erase(normalizer_block_offset(), kEmptyNormalizerBlock);
+  patch<std::uint32_t>(bytes, kOffVersion, 5);
+  bytes = restamp_checksum(bytes);
+  try {
+    predictor_from_bytes(bytes, "v5 file");
+    ADD_FAILURE() << "a v5 model file loaded";
+  } catch (const util::CorruptArtifactError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 5 (this build reads 6)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SerializeRobustness, V6NormalizerBlockRoundTrips) {
+  const dataset::FeatureNormalizer norm = uniform_normalizer(0.5f, 2.0f);
+  const std::string bytes = normalizer_model_bytes(norm);
+  const GnnPredictor loaded = predictor_from_bytes(bytes, "v6 round-trip");
+  EXPECT_TRUE(loaded.normalizer() == norm);
+  EXPECT_EQ(predictor_to_bytes(loaded), bytes);
+  // An untrained model writes an all-empty block and loads unfitted.
+  EXPECT_FALSE(predictor_from_bytes(tiny_model_bytes(), "untrained").normalizer().fitted());
+}
+
+TEST(SerializeRobustness, HostileNormalizerBlockIsTyped) {
+  const std::string good = normalizer_model_bytes(uniform_normalizer(0.5f, 2.0f));
+  const std::size_t off = normalizer_block_offset();
+  // Node type 0's mean row data follows the block count and the row's
+  // shape; its stdev row follows the mean.
+  const std::size_t dim0 = graph::feature_dim(static_cast<graph::NodeType>(0));
+  const std::size_t mean0 = off + 8 + 16;
+  const std::size_t stdev0 = mean0 + dim0 * sizeof(float) + 16;
+  float v = 0.0f;
+  std::memcpy(&v, good.data() + mean0, sizeof v);
+  ASSERT_EQ(v, 0.5f);
+  std::memcpy(&v, good.data() + stdev0, sizeof v);
+  ASSERT_EQ(v, 2.0f);
+  const auto rejects = [](const std::string& bytes, const char* what) {
+    EXPECT_THROW(predictor_from_bytes(restamp_checksum(bytes), what), util::CorruptArtifactError)
+        << what;
+  };
+  const auto patched = [&](std::size_t at, auto value) {
+    std::string bad = good;
+    patch(bad, at, value);
+    return bad;
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  rejects(patched(off, std::uint64_t{2 * graph::kNumNodeTypes - 1}), "matrix count");
+  rejects(patched(mean0, nan), "NaN mean");
+  rejects(patched(mean0, inf), "infinite mean");
+  rejects(patched(stdev0, 0.0f), "zero stdev");
+  rejects(patched(stdev0, -1.0f), "negative stdev");
+  rejects(patched(stdev0, nan), "NaN stdev");
+
+  // Shapes: the writer emits whatever state it holds, checksum included.
+  const auto full = uniform_normalizer(0.5f, 2.0f).state();
+  const auto shaped = [&](auto edit, const char* what) {
+    auto st = full;
+    edit(st);
+    rejects(normalizer_model_bytes(dataset::FeatureNormalizer::from_state(st)), what);
+  };
+  shaped([](auto& st) { st[1].mean.push_back(0.5f); }, "mean row too wide");
+  shaped([](auto& st) { st[2].stdev.pop_back(); }, "stdev row too narrow");
+  shaped([](auto& st) { st[3] = {}; }, "one node type empty");
+  shaped([](auto& st) { st[0] = {}; }, "node type 0 empty, the rest fitted");
 }
 
 TEST(SerializeRobustness, V5SketchBlockRoundTrips) {

@@ -18,6 +18,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "circuit/spice_parser.h"
 #include "circuit/spice_writer.h"
 #include "core/ensemble.h"
 #include "core/serialize.h"
@@ -46,7 +47,7 @@ core::CapEnsemble train_tiny_ensemble(int epochs) {
   cfg.base.epochs = epochs;
   cfg.base.num_layers = 2;
   cfg.base.embed_dim = 8;
-  cfg.base.seed = 21;  // matches tiny_dataset: one normaliser serves both
+  cfg.base.seed = 21;  // matches tiny_dataset, the suite the members train on
   cfg.base.scale = 0.05;
   core::CapEnsemble ens(cfg);
   ens.train(tiny_dataset());
@@ -56,8 +57,7 @@ core::CapEnsemble train_tiny_ensemble(int epochs) {
 // Two trained generations, saved once per process: "A" is the serving
 // ensemble, "B" is the replacement the reload tests swap in. Different
 // epoch counts give different weights, so their predictions are
-// distinguishable, while the shared (seed, scale) keeps the registry's
-// normaliser cache hot across every server in this file.
+// distinguishable; both carry tiny_dataset's normaliser in their files.
 struct Artifacts {
   std::string dir;
   std::string ensemble_a;  // + .m0 / .m1 member files
@@ -571,7 +571,7 @@ TEST(Serve, DeviceModelAnswersDecksWithoutThickDevices) {
   pc.epochs = 2;
   pc.num_layers = 2;
   pc.embed_dim = 8;
-  pc.seed = 21;  // tiny_dataset's normaliser, shared with the ensemble
+  pc.seed = 21;  // tiny_dataset, the ensemble's training suite
   pc.scale = 0.05;
   core::GnnPredictor sa(pc);
   sa.train(tiny_dataset());
@@ -594,6 +594,34 @@ TEST(Serve, DeviceModelAnswersDecksWithoutThickDevices) {
   const obs::JsonValue* sa_preds = preds.find("SA");
   ASSERT_NE(sa_preds, nullptr) << resp.dump();
   EXPECT_EQ(sa_preds->items().size(), 2u) << "one SA value per thin transistor";
+  server.stop();
+}
+
+// An ensemble member served on its own normalises with the statistics of
+// the suite it was trained on, which its file carries, not with a suite
+// built from its own seed (the ensemble's base seed + 101).
+TEST(Serve, EnsembleMemberServedAloneKeepsItsTrainingNormaliser) {
+  ServeConfig cfg = base_config("member_alone", "");
+  cfg.registry.model_paths = {artifacts().ensemble_a + ".m1"};
+  Server server(cfg);
+  server.start();
+  ServeClient client = ServeClient::connect_unix(cfg.socket_path);
+  const core::CapEnsemble ens = core::CapEnsemble::load(artifacts().ensemble_a);
+  for (const std::string& deck : test_decks()) {
+    const obs::JsonValue resp = client.predict(deck);
+    ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+    const obs::JsonValue& cap = resp.at("predictions").at("CAP");
+    dataset::Sample sample;
+    sample.netlist = circuit::parse_spice_string(deck);
+    sample.graph = graph::build_graph(sample.netlist);
+    const std::vector<float> want = ens.model(1).predict_all(tiny_dataset(), sample);
+    const auto& nets = sample.graph.origins(graph::NodeType::kNet);
+    ASSERT_EQ(cap.items().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const std::string& name = sample.netlist.net(nets[i]).name;
+      EXPECT_EQ(static_cast<float>(cap.at(name).as_double()), want[i]) << name;
+    }
+  }
   server.stop();
 }
 

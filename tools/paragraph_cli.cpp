@@ -7,11 +7,14 @@
 //                   [--epochs N] [--scale F] [--seed N] [--max-v FF]
 //                   [--eval-every N] [--batch-size B]
 //                   [--checkpoint-every N] [--checkpoint PATH] [--resume PATH]
-//       Train a predictor on the synthetic suite and save it. The --scale
-//       used here is persisted in the model file and reused by
-//       predict/evaluate. --batch-size B runs B circuits' forward/backward
-//       concurrently per optimiser step with gradients averaged in circuit
-//       order (1 = the classic one-step-per-graph schedule).
+//       Train a predictor on the synthetic suite and save it. The model
+//       file carries the training set's feature normaliser, which predict,
+//       evaluate, report and serve apply to every input; the --scale and
+//       --seed used here are persisted too and name the suite evaluate
+//       and report score by default. --batch-size B runs B circuits'
+//       forward/backward concurrently per optimiser step with gradients
+//       averaged in circuit order (1 = the classic one-step-per-graph
+//       schedule).
 //       --checkpoint-every N writes a crash-safe checkpoint (model + Adam
 //       moments + RNG stream + schedule state) every N epochs to
 //       --checkpoint PATH (default: MODEL.bin.ckpt). --resume PATH picks a
@@ -23,14 +26,16 @@
 //       netlist (pre-layout: no annotation needed).
 //   paragraph evaluate --model MODEL.bin [--scale F] [--seed N]
 //                      [--quality-out PATH] [--drift-warn X]
-//       Evaluate a saved model on the generated test circuits.
-//       --quality-out writes the paragraph-quality-v1 JSON block
+//       Evaluate a saved model on the generated test circuits (by default
+//       the suite it was trained on; --scale/--seed pick another, still
+//       normalised with the model's statistics). --quality-out writes
+//       the paragraph-quality-v1 JSON block
 //       (per-decade/target/edge-type accounting, worst nets); with
 //       --metrics-out the same accounting also lands as quality.* gauges.
-//       Models saved as format v5 carry training-set distribution
-//       sketches; evaluate and predict score the incoming graphs against
-//       them (PSI per feature), publish drift.<feature>/drift.max gauges,
-//       and warn once when drift.max crosses --drift-warn (default 0.25).
+//       Model files carry training-set distribution sketches; evaluate
+//       and predict score the incoming graphs against them (PSI per
+//       feature), publish drift.<feature>/drift.max gauges, and warn once
+//       when drift.max crosses --drift-warn (default 0.25).
 //   paragraph report --model MODEL.bin --out PREFIX [--prior METRICS.json]
 //                    [--scale F] [--seed N] [--drift-warn X]
 //       Join the model and the generated test circuits into a quality
@@ -211,9 +216,9 @@ int usage(bool help = false) {
 }
 
 // Drift check shared by predict/evaluate/report: score live input sketches
-// against the model's persisted training reference (format v5; older
-// models have none and the check is skipped). Publishes drift.* gauges and
-// the one-line warning via eval::check_drift.
+// against the model's persisted training reference (an untrained model has
+// none and the check is skipped). Publishes drift.* gauges and the
+// one-line warning via eval::check_drift.
 std::optional<obs::DriftReport> run_drift_check(const std::vector<obs::FeatureSketch>& ref,
                                                 std::span<const dataset::Sample> live_samples,
                                                 double warn_threshold) {
@@ -508,9 +513,8 @@ int cmd_predict(const util::ArgParser& args) {
     return 2;
   }
   const core::GnnPredictor predictor = core::load_predictor(model_path);
-  // The saved model's normaliser statistics live in the dataset; rebuild it
-  // with the seed and scale recorded in the model config.
-  const auto ds = dataset::build_dataset(predictor.config().seed, predictor.config().scale);
+  dataset::SuiteDataset ds;
+  ds.normalizer = predictor.normalizer();
   const auto sample = sample_from_netlist(circuit::parse_spice_file(netlist_path));
   run_drift_check(predictor.feature_sketches(), std::span(&sample, 1),
                   args.get_double("drift-warn", eval::kDefaultDriftWarnThreshold));
@@ -518,14 +522,9 @@ int cmd_predict(const util::ArgParser& args) {
   const auto target = predictor.config().target;
   std::printf("# %s predictions for %s\n", dataset::target_name(target), netlist_path.c_str());
   std::size_t k = 0;
-  for (const auto nt : dataset::target_node_types(target)) {
-    for (const auto origin : sample.graph.origins(nt)) {
-      const std::string& name = nt == graph::NodeType::kNet
-                                    ? sample.netlist.net(origin).name
-                                    : sample.netlist.device(origin).name;
-      std::printf("%-32s %g\n", name.c_str(), preds[k++]);
-    }
-  }
+  for (const auto nt : dataset::target_node_types(target))
+    for (std::size_t i = 0; i < sample.graph.num_nodes(nt); ++i)
+      std::printf("%-32s %g\n", dataset::node_name(sample, nt, i).c_str(), preds[k++]);
   return 0;
 }
 
@@ -563,9 +562,10 @@ int cmd_evaluate(const util::ArgParser& args) {
 
   const double scale =
       args.has("scale") ? args.get_double("scale", 0.25) : predictor.config().scale;
-  const auto ds = dataset::build_dataset(
+  auto ds = dataset::build_dataset(
       static_cast<std::uint64_t>(args.get_int("seed", static_cast<long>(predictor.config().seed))),
       scale);
+  ds.normalizer = predictor.normalizer();
   // Quality accounting is post-processing over the evaluation results the
   // command produces anyway, so it runs whenever anyone can see it: an
   // explicit --quality-out, or the obs layer (gauges land in
@@ -607,32 +607,28 @@ int cmd_report(const util::ArgParser& args) {
   }
   const double drift_warn = args.get_double("drift-warn", eval::kDefaultDriftWarnThreshold);
 
-  // Load the model(s), rebuild the recorded dataset, collect quality.
+  // Load the model(s), build the evaluation suite, collect quality.
   std::optional<core::GnnPredictor> model;
   std::optional<core::CapEnsemble> ensemble;
-  const core::PredictorConfig* cfg;
-  const std::vector<obs::FeatureSketch>* drift_ref;
-  if (!model_path.empty()) {
+  if (!model_path.empty())
     model.emplace(core::load_predictor(model_path));
-    cfg = &model->config();
-    drift_ref = &model->feature_sketches();
-  } else {
+  else
     ensemble.emplace(core::CapEnsemble::load(ensemble_path));
-    cfg = &ensemble->model(0).config();
-    drift_ref = &ensemble->model(0).feature_sketches();
-  }
-  const double scale = args.has("scale") ? args.get_double("scale", 0.25) : cfg->scale;
-  const auto ds = dataset::build_dataset(
-      static_cast<std::uint64_t>(args.get_int("seed", static_cast<long>(cfg->seed))), scale);
+  const core::GnnPredictor& first = model ? *model : ensemble->model(0);
+  const core::PredictorConfig& cfg = first.config();
+  const double scale = args.has("scale") ? args.get_double("scale", 0.25) : cfg.scale;
+  auto ds = dataset::build_dataset(
+      static_cast<std::uint64_t>(args.get_int("seed", static_cast<long>(cfg.seed))), scale);
+  ds.normalizer = first.normalizer();
 
-  const auto drift = run_drift_check(*drift_ref, ds.test, drift_warn);
+  const auto drift = run_drift_check(first.feature_sketches(), ds.test, drift_warn);
   eval::QualityAccumulator q = model ? core::collect_quality(*model, ds, ds.test)
                                      : core::collect_quality(*ensemble, ds, ds.test);
   q.publish();
 
   const std::string source = !model_path.empty() ? model_path : ensemble_path;
   obs::JsonValue doc = core::quality_report_json(q, drift ? &*drift : nullptr, source,
-                                                 dataset::target_name(cfg->target),
+                                                 dataset::target_name(cfg.target),
                                                  ds.test.size());
 
   // Optional prior metrics JSON (--metrics-out format) for then-vs-now.
